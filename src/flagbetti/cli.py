@@ -15,6 +15,7 @@ import click
 
 from . import constructions
 from .complexes import (
+    FaceCapExceeded,
     alexander_dual,
     bip_graph,
     dominance_complex,
@@ -81,7 +82,9 @@ def main(ctx, field_name, hochster_cap):
     ctx.ensure_object(dict)
     ctx.obj["field"] = _field(field_name)
     env_cap = os.environ.get("FLAGBETTI_HOCHSTER_CAP")
-    ctx.obj["hochster_cap"] = hochster_cap or (int(env_cap) if env_cap else 14)
+    if hochster_cap is None:
+        hochster_cap = int(env_cap) if env_cap else 14
+    ctx.obj["hochster_cap"] = hochster_cap
 
 
 @main.command("betti")
@@ -98,7 +101,10 @@ def betti_cmd(ctx, graph6_word, facets_path):
         k = independence_complex(_load_graph(graph6_word))
     else:
         k = _load_complex(facets_path)
-    _emit(betti(k, ctx.obj["field"]).to_json_dict())
+    try:
+        _emit(betti(k, ctx.obj["field"]).to_json_dict())
+    except FaceCapExceeded as exc:
+        _fail(str(exc))
 
 
 @main.command("beta")
@@ -113,7 +119,7 @@ def beta_cmd(ctx, graph6_word, workers):
         report = hochster_beta(
             g, ctx.obj["field"], cap=ctx.obj["hochster_cap"], workers=workers or None
         )
-    except ValueError as exc:
+    except (ValueError, FaceCapExceeded) as exc:
         _fail(str(exc))
     _emit(report.to_json_dict())
 
@@ -245,7 +251,7 @@ def search_cmd(ctx, metric, graph_class, size, use_stdin, strict, tsv, checkpoin
                 metric, cls, n=size, fieldspec=ctx.obj["field"],
                 hochster_cap=ctx.obj["hochster_cap"], checkpoint_path=checkpoint,
             )
-    except (ValueError, Graph6Error) as exc:
+    except (ValueError, Graph6Error, FaceCapExceeded) as exc:
         _fail(str(exc))
     if tsv:
         click.echo(report.to_tsv_line())
@@ -283,7 +289,7 @@ def check_cmd(ctx, graph6_word, facets_path, with_beta):
             report["graph6"] = graph6_word
         else:
             report = check_complex_bounds(_load_complex(facets_path), ctx.obj["field"])
-    except ValueError as exc:
+    except (ValueError, FaceCapExceeded) as exc:
         _fail(str(exc))
     _emit(report)
     sys.exit(EXIT_OK if report["all_pass"] else EXIT_MATH_FAIL)

@@ -14,7 +14,6 @@ from .complexes import (
     Complex,
     bip_graph,
     from_facets,
-    independence_complex,
     join,
     neighbourhood_complex,
     skeleton_simplex,
@@ -207,9 +206,3 @@ def verify_case(case: GoldenCase, field: FieldSpec = GF2) -> dict:
         "field": str(field),
     }
 
-
-def ind_of(case: GoldenCase) -> Complex:
-    """Independence complex of a graph case (helper for demos/tests)."""
-    if case.graph is None:
-        return case.complex_
-    return independence_complex(case.graph)

@@ -202,12 +202,8 @@ def crown(s: int) -> Graph:
 # ---------------------------------------------------------------------------
 # combinations of graphs
 
-def _shift_mask(mask: int, k: int) -> int:
-    return mask << k
-
-
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    adj = list(g.adj) + [_shift_mask(nb, g.n) for nb in h.adj]
+    adj = list(g.adj) + [nb << g.n for nb in h.adj]
     return Graph(g.n + h.n, tuple(adj))
 
 
@@ -216,7 +212,7 @@ def join_sum(g: Graph, h: Graph) -> Graph:
     gmask = (1 << g.n) - 1
     hmask = ((1 << h.n) - 1) << g.n
     adj = [nb | hmask for nb in g.adj]
-    adj += [_shift_mask(nb, g.n) | gmask for nb in h.adj]
+    adj += [nb << g.n | gmask for nb in h.adj]
     return Graph(g.n + h.n, tuple(adj))
 
 

@@ -4,17 +4,16 @@ The chain complex is augmented: the empty face spans C_{-1}, so the empty
 complex has one unit of homology in degree -1.  Betti numbers come from
 b_i = dim C_i - rank d_i - rank d_{i+1}.
 
-Three coefficient choices: GF(2) (bitset elimination, the fast default),
-GF(p) for odd primes (numpy elimination mod p), and exact rationals
-(Fraction elimination).
+Two rank routines, both column reductions over sparse columns: GF(2)
+keeps each column as an int bitset and reduces by XOR (the default field);
+odd GF(p) and the exact rationals share one routine whose columns are
+{row: coefficient} dicts, with ints mod p or Fractions as coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .complexes import Complex, DEFAULT_FACE_CAP, all_faces
 from .graphs import bits, popcount
@@ -158,69 +157,38 @@ def _rank_gf2(m: SparseMatrix) -> int:
     return rank
 
 
-def _rank_gfp(m: SparseMatrix, p: int) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a = np.zeros((m.cols, m.rows), dtype=np.int64)
-    for j, col in enumerate(m.columns):
-        for r, s in col:
-            a[j, r] = s % p
-    rank = 0
-    row = 0
-    for col in range(m.rows):
-        piv = None
-        for r in range(row, m.cols):
-            if a[r, col] % p:
-                piv = r
+def _rank_sparse(m: SparseMatrix, p: int | None) -> int:
+    """Rank over GF(p), or over Q when p is None, by column reduction.
+
+    Each column is a {row: coeff} dict; while its lowest (largest) row is
+    the pivot of an earlier column, that column's multiple is subtracted.
+    A column that survives becomes the pivot for its lowest row, scaled so
+    that entry is 1.  The rank is the number of pivots."""
+    pivots: dict[int, dict[int, int | Fraction]] = {}  # lowest row -> reduced column
+    for col in m.columns:
+        v = {r: Fraction(s) if p is None else s % p for r, s in col}
+        while v:
+            low = max(v)
+            c = v[low]
+            piv = pivots.get(low)
+            if piv is None:
+                inv = 1 / c if p is None else pow(c, -1, p)
+                pivots[low] = {r: x * inv if p is None else x * inv % p for r, x in v.items()}
                 break
-        if piv is None:
-            continue
-        a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), p - 2, p)
-        a[row] = a[row] * inv % p
-        mask = a[row + 1:, col] % p != 0
-        if mask.any():
-            a[row + 1:][mask] = (a[row + 1:][mask] - np.outer(a[row + 1:, col][mask], a[row])) % p
-        rank += 1
-        row += 1
-        if row == m.cols:
-            break
-    return rank
-
-
-def _rank_rational(m: SparseMatrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a: list[list[Fraction]] = [[Fraction(0)] * m.rows for _ in range(m.cols)]
-    for j, col in enumerate(m.columns):
-        for r, s in col:
-            a[j][r] = Fraction(s)
-    rank = 0
-    row = 0
-    for col in range(m.rows):
-        piv = next((r for r in range(row, m.cols) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = a[row][col]
-        a[row] = [x / inv for x in a[row]]
-        for r in range(row + 1, m.cols):
-            if a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        rank += 1
-        row += 1
-        if row == m.cols:
-            break
-    return rank
+            for r, x in piv.items():
+                y = v.get(r, 0) - c * x
+                if p is not None:
+                    y %= p
+                if y:
+                    v[r] = y
+                else:
+                    v.pop(r, None)
+    return len(pivots)
 
 
 def matrix_rank(m: SparseMatrix, field: FieldSpec) -> int:
-    if field.variant == "rational":
-        return _rank_rational(m)
-    if field.p == 2:
-        return _rank_gf2(m)
-    return _rank_gfp(m, field.p)
+    p = field.p if field.variant == "prime" else None
+    return _rank_gf2(m) if p == 2 else _rank_sparse(m, p)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -98,9 +98,10 @@ class Enclosure:
         return (self.lo + self.hi) / 2
 
     def decimal_str(self, digits: int = 15) -> str:
-        getcontext().prec = digits + 5
         mid = self.midpoint()
-        return str(Decimal(mid.numerator) / Decimal(mid.denominator))
+        with localcontext() as ctx:
+            ctx.prec = digits + 5
+            return str(Decimal(mid.numerator) / Decimal(mid.denominator))
 
     def __float__(self) -> float:
         return float(self.midpoint())

@@ -8,11 +8,9 @@ and the rationals, plus the closed-form cross-checks.
 
 from __future__ import annotations
 
-from decimal import Decimal, getcontext
-from fractions import Fraction
+from decimal import Decimal, localcontext
 
 from .constructions import (
-    crown_union,
     fano_bip,
     golden_cases,
     neighbourhood_power,
@@ -39,9 +37,8 @@ CONSTRUCTION_BASES = [
 ]
 
 
-def _nth_root_3dp(value: int, degree: int) -> Decimal:
-    """value^(1/degree) rounded to three decimals, via integer bisection
-    at four-decimal precision (exact arithmetic throughout)."""
+def _root_4dp(value: int, degree: int) -> int:
+    """floor(value^(1/degree) * 10^4) by integer bisection (exact)."""
     scale = 10**4
     lo, hi = 0, 3 * scale
     while lo < hi:
@@ -50,30 +47,28 @@ def _nth_root_3dp(value: int, degree: int) -> Decimal:
             lo = mid
         else:
             hi = mid - 1
-    return Decimal((lo + 5) // 10) / Decimal(1000)
+    return lo
+
+
+def _nth_root_3dp(value: int, degree: int) -> Decimal:
+    """value^(1/degree) rounded to three decimals from its four-decimal
+    truncation."""
+    return Decimal((_root_4dp(value, degree) + 5) // 10) / Decimal(1000)
 
 
 def _matches_3dp(value: int, degree: int, published: Decimal) -> bool:
     """True when value^(1/degree) agrees with the published 3-decimal
     figure to within one unit in the last place (published tables mix
     rounding and truncation and are occasionally a half-ulp off)."""
-    scale = 10**4
-    lo, hi = 0, 3 * scale
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**degree <= value * scale**degree:
-            lo = mid
-        else:
-            hi = mid - 1
-    # lo/scale <= base < (lo+1)/scale; compare at 3 decimals
-    base_milli = Decimal(lo) / 10  # base * 1000, truncated to 0.1
+    base_milli = Decimal(_root_4dp(value, degree)) / 10  # base * 1000, truncated to 0.1
     return abs(base_milli - published * 1000) <= Decimal("1.05")
 
 
 def _enclosure_3dp(enc) -> Decimal:
-    getcontext().prec = 30
     mid = enc.midpoint()
-    return (Decimal(mid.numerator) / Decimal(mid.denominator)).quantize(Decimal("0.001"))
+    with localcontext() as ctx:
+        ctx.prec = 30
+        return (Decimal(mid.numerator) / Decimal(mid.denominator)).quantize(Decimal("0.001"))
 
 
 def run_table1(field: FieldSpec) -> dict:

@@ -3,8 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from flagbetti import cli
 from flagbetti.cli import main
-from flagbetti.complexes import read_facet_file, write_facet_file
+from flagbetti.complexes import FaceCapExceeded, read_facet_file, write_facet_file
 from flagbetti.constructions import fano_complex
 from flagbetti.graphs import encode_graph6, parse_graph6
 
@@ -44,6 +45,23 @@ class TestBetti:
         assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("target, args", [
+    ("betti", ["betti", "--graph6", "D~{"]),
+    ("hochster_beta", ["beta", "--graph6", "D~{"]),
+    ("check_bounds", ["check", "--graph6", "D~{"]),
+    ("maximize", ["search", "--n", "4"]),
+])
+def test_face_cap_is_resource_error(runner, monkeypatch, target, args):
+    # the edgeless 23-vertex graph hits the cap for real, after 4M faces
+    def too_many_faces(*a, **kw):
+        raise FaceCapExceeded(10)
+
+    monkeypatch.setattr(cli, target, too_many_faces)
+    res = invoke(runner, args)
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": str(FaceCapExceeded(10))}
+
+
 class TestBeta:
     def test_k3(self, runner):
         res = invoke(runner, ["beta", "--graph6", "Bw"])
@@ -57,6 +75,11 @@ class TestBeta:
         word = encode_graph6(empty_graph(15))
         res = invoke(runner, ["beta", "--graph6", word])
         assert res.exit_code == 2
+
+    def test_cap_zero_is_a_cap(self, runner):
+        res = invoke(runner, ["--hochster-cap", "0", "beta", "--graph6", "D~{"])
+        assert res.exit_code == 2
+        assert "cap=0" in json.loads(res.stderr)["error"]
 
 
 class TestTransforms:

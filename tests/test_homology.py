@@ -29,10 +29,22 @@ from flagbetti.homology import (
     reduced_euler,
     total_betti,
 )
-from conftest import random_complex
-from oracles import betti_oracle_gf2, total_betti_oracle
+from conftest import random_complex, random_graph
+from oracles import betti_oracle, betti_oracle_gf2, total_betti_oracle
 
 FIELDS = (GF2, GF3, RATIONALS)
+# (field, the oracle's p) for the sparse GF(p)/Q rank routine
+ODD_FIELDS = ((GF3, 3), (FieldSpec("prime", 7), 7), (RATIONALS, None))
+
+# minimal 6-vertex triangulation of RP^2: its 2-torsion makes GF(2) differ
+# from GF(3) and the rationals
+RP2 = from_facets(
+    6,
+    [
+        [0, 1, 3], [0, 1, 4], [0, 2, 3], [0, 2, 5], [0, 4, 5],
+        [1, 2, 4], [1, 2, 5], [1, 3, 5], [2, 3, 4], [3, 4, 5],
+    ],
+)
 
 
 class TestFieldSpec:
@@ -117,18 +129,9 @@ class TestBetti:
             assert got == betti_oracle_gf2(k)
 
     def test_projective_plane_field_dependence(self):
-        # minimal 6-vertex triangulation of RP^2: torsion makes GF(2)
-        # differ from GF(3) and the rationals
-        rp2 = from_facets(
-            6,
-            [
-                [0, 1, 3], [0, 1, 4], [0, 2, 3], [0, 2, 5], [0, 4, 5],
-                [1, 2, 4], [1, 2, 5], [1, 3, 5], [2, 3, 4], [3, 4, 5],
-            ],
-        )
-        assert total_betti(rp2, GF2) == 2
-        assert total_betti(rp2, GF3) == 0
-        assert total_betti(rp2, RATIONALS) == 0
+        assert total_betti(RP2, GF2) == 2
+        assert total_betti(RP2, GF3) == 0
+        assert total_betti(RP2, RATIONALS) == 0
 
     def test_euler_poincare(self, rng):
         for _ in range(40):
@@ -222,3 +225,21 @@ class TestRanks:
         for _ in range(20):
             k = random_complex(rng, rng.randint(1, 7))
             assert total_betti(k, GF2) == total_betti_oracle(k)
+
+
+@pytest.mark.parametrize("field, p", ODD_FIELDS, ids=str)
+class TestOddFieldOracle:
+    def test_random_complexes(self, rng, field, p):
+        for _ in range(40):
+            k = random_complex(rng, rng.randint(1, 7), rng.randint(1, 6))
+            assert dict(betti(k, field).by_degree) == betti_oracle(k, p)
+
+    def test_independence_complexes(self, rng, field, p):
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 7), rng.random())
+            k = independence_complex(g)
+            assert dict(betti(k, field).by_degree) == betti_oracle(k, p)
+
+    def test_projective_plane(self, field, p):
+        assert betti_oracle(RP2, 2) == dict(betti(RP2, GF2).by_degree) == {1: 1, 2: 1}
+        assert betti_oracle(RP2, p) == dict(betti(RP2, field).by_degree) == {}

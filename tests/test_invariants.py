@@ -1,3 +1,4 @@
+from decimal import getcontext
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -60,6 +61,11 @@ class TestEnclosure:
 
 
 class TestConstants:
+    def test_decimal_str_keeps_global_context(self):
+        prec = getcontext().prec
+        solve_constants(10).theta.decimal_str(18)
+        assert getcontext().prec == prec
+
     def test_theta_digits(self):
         # 4^(1/5) = 1.31950791077289425...
         assert theta_enclosure(4).decimal_str(15).startswith("1.31950791077289")
