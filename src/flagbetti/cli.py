@@ -239,19 +239,14 @@ def search_cmd(ctx, metric, graph_class, size, use_stdin, strict, tsv, checkpoin
     if use_stdin == (size is not None):
         _fail("give exactly one of --n or --stdin")
     try:
-        if use_stdin:
-            graphs = stream_graph6(sys.stdin, strict=strict)
-            report = maximize(
-                metric, cls, graphs=graphs, fieldspec=ctx.obj["field"],
-                hochster_cap=ctx.obj["hochster_cap"],
-                checkpoint_path=checkpoint, resume_offset=resume_offset,
-            )
-        else:
-            report = maximize(
-                metric, cls, n=size, fieldspec=ctx.obj["field"],
-                hochster_cap=ctx.obj["hochster_cap"], checkpoint_path=checkpoint,
-            )
-    except (ValueError, Graph6Error, FaceCapExceeded) as exc:
+        report = maximize(
+            metric, cls, n=size,
+            graphs=stream_graph6(sys.stdin, strict=strict) if use_stdin else None,
+            fieldspec=ctx.obj["field"], hochster_cap=ctx.obj["hochster_cap"],
+            checkpoint_path=checkpoint, resume_offset=resume_offset,
+        )
+    except (ValueError, FaceCapExceeded, ArithmeticError) as exc:
+        # an undecided bound comparison is a resource error, not a counterexample
         _fail(str(exc))
     if tsv:
         click.echo(report.to_tsv_line())
@@ -289,7 +284,7 @@ def check_cmd(ctx, graph6_word, facets_path, with_beta):
             report["graph6"] = graph6_word
         else:
             report = check_complex_bounds(_load_complex(facets_path), ctx.obj["field"])
-    except (ValueError, FaceCapExceeded) as exc:
+    except (ValueError, FaceCapExceeded, ArithmeticError) as exc:
         _fail(str(exc))
     _emit(report)
     sys.exit(EXIT_OK if report["all_pass"] else EXIT_MATH_FAIL)

@@ -8,8 +8,6 @@ All operations are pure; Graph values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 
 __all__ = [
     "Graph",
@@ -401,13 +399,3 @@ def canonical_graph(g: Graph, cap: int = CANONICAL_CAP) -> Graph:
 def canonical_form(g: Graph, cap: int = CANONICAL_CAP) -> bytes:
     """Byte string equal for two graphs iff they are isomorphic (n <= cap)."""
     return encode_graph6(canonical_graph(g, cap)).encode("ascii")
-
-
-@lru_cache(maxsize=None)
-def _all_labelled_graphs(n: int):
-    """All 2^(n(n-1)/2) labelled graphs on n vertices (test oracle helper)."""
-    pairs = list(combinations(range(n), 2))
-    out = []
-    for mask in range(1 << len(pairs)):
-        out.append(from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
-    return out

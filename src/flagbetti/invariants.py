@@ -7,6 +7,7 @@ violation can never be a floating-point artifact.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -141,10 +142,7 @@ def theta_enclosure(d: int = 4) -> Enclosure:
     """d^(1/(d+1)); d=4 gives the flag-complex growth constant 4^(1/5)."""
     if d < 1:
         raise ValueError("d >= 1 required")
-    if d == 1:
-        return Enclosure.exact(1)
-    hi = Fraction(2)
-    return bisect_root(lambda x: x ** (d + 1) - d, Fraction(1), hi)
+    return _root_of_power(d, d + 1)
 
 
 @lru_cache(maxsize=None)
@@ -165,8 +163,6 @@ def theta_small_enclosure(d: int) -> Enclosure:
     """Root in [1,2] of x^d = 1 + x + ... + x^(d-1) (d-step Fibonacci-like)."""
     if d < 1:
         raise ValueError("d >= 1 required")
-    if d == 1:
-        return Enclosure.exact(1)
 
     def poly(x: Fraction) -> Fraction:
         return x**d - sum(x**i for i in range(d))
@@ -327,13 +323,15 @@ def hochster_beta(
 ) -> HochsterReport:
     """Sum of b over all 2^n induced subgraphs (exact brute force).
 
-    With workers > 1 the subset range is split across processes; the
-    combining step is integer addition, so the result is deterministic.
+    With workers > 1 the subset range is split across at most
+    os.cpu_count() processes; the combining step is integer addition, so
+    the result is deterministic.
     """
     if g.n > cap:
         raise ValueError(f"hochster sum refused for n={g.n} > cap={cap}")
+    workers = min(workers or 1, os.cpu_count() or 1)
     total_subsets = 1 << g.n
-    if workers and workers > 1 and total_subsets >= 1 << 10:
+    if workers > 1 and total_subsets >= 1 << 10:
         step = -(-total_subsets // workers)
         chunks = [
             (g, field, lo, min(lo + step, total_subsets))

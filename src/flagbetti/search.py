@@ -1,14 +1,15 @@
 """Exhaustive and streamed extremal search over small graphs.
 
-The internal generator produces one representative per isomorphism class
-by extending (n-1)-vertex representatives with every possible
-neighbourhood of a new vertex and deduplicating by canonical form.
+The internal generator extends each (n-1)-vertex class representative
+by one vertex in every way (`_children`) and keeps one canonical form per
+class; the n = 9 vanishing sweep streams the same children undeduplicated.
 Larger inputs arrive as graph6 streams from external generators.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -20,7 +21,6 @@ from .graphs import (
     Graph6Error,
     bits,
     canonical_form,
-    canonical_graph,
     empty_graph,
     encode_graph6,
     graph_predicates,
@@ -52,28 +52,34 @@ __all__ = [
 
 GENERATOR_CAPS = {"all": 8, "triangle_free": 9, "bipartite": 8, "connected": 8}
 CHECKPOINT_EVERY = 100_000
+CHECKPOINTED = ("max_value", "maximizers", "violations", "all_within_bound")
 
 
 # ---------------------------------------------------------------------------
 # isomorph-free generation
 
+def _children(parent: Graph, trifree: bool) -> Iterator[Graph]:
+    """Every one-vertex extension of parent, one per neighbourhood of the
+    new vertex (no isomorphism dedup); with trifree, only those that stay
+    triangle-free."""
+    n = parent.n + 1
+    for nb in range(1 << parent.n):
+        # the new vertex closes a triangle iff two of its neighbours are
+        # adjacent in the parent
+        if trifree and any(parent.adj[v] & nb for v in bits(nb)):
+            continue
+        adj = tuple(a | ((nb >> v & 1) << parent.n) for v, a in enumerate(parent.adj))
+        yield Graph(n, adj + (nb,))
+
+
 @lru_cache(maxsize=None)
 def _classes(n: int, trifree: bool) -> tuple[Graph, ...]:
     if n == 0:
         return (empty_graph(0),)
-    out: dict[bytes, Graph] = {}
-    for parent in _classes(n - 1, trifree):
-        for nb in range(1 << (n - 1)):
-            if trifree:
-                # the new vertex closes a triangle iff two of its
-                # neighbours are adjacent in the parent
-                if any(parent.adj[v] & nb for v in bits(nb)):
-                    continue
-            g = Graph(n, tuple(a | ((nb >> v & 1) << (n - 1)) for v, a in enumerate(parent.adj)) + (nb,))
-            key = canonical_form(g)
-            if key not in out:
-                out[key] = canonical_graph(g)
-    return tuple(out[k] for k in sorted(out))
+    keys = {
+        canonical_form(g) for parent in _classes(n - 1, trifree) for g in _children(parent, trifree)
+    }
+    return tuple(parse_graph6(k.decode()) for k in sorted(keys))
 
 
 def enumerate_graphs(n: int, cls: str = "all") -> list[Graph]:
@@ -90,19 +96,16 @@ def enumerate_graphs(n: int, cls: str = "all") -> list[Graph]:
     base = _classes(n, cls == "triangle_free")
     if cls in ("all", "triangle_free"):
         return list(base)
-    predicate = {
-        "bipartite": lambda g: graph_predicates(g)["is_bipartite"],
-        "connected": lambda g: graph_predicates(g)["is_connected"],
-    }[cls]
-    return [g for g in base if predicate(g)]
+    return [g for g in base if graph_predicates(g)[f"is_{cls}"]]
 
 
 # ---------------------------------------------------------------------------
 # graph6 streaming
 
 def stream_graph6(lines: Iterable[str], strict: bool = True) -> Iterator[Graph]:
-    """Parse graph6 lines lazily; in non-strict mode bad lines are
-    skipped with a warning attribute rather than raised."""
+    """Parse graph6 lines lazily, skipping blank lines.  A bad line raises
+    Graph6Error naming its line number; in non-strict mode it is skipped
+    silently instead."""
     for lineno, raw in enumerate(lines, start=1):
         word = raw.strip()
         if not word:
@@ -199,40 +202,44 @@ def maximize(
     resume_offset: int = 0,
 ) -> SearchReport:
     """Evaluate metric on every graph and report the exact maximum, all
-    maximizers (canonical graph6), and the applicable theorem bound."""
+    maximizers (canonical graph6), and the applicable theorem bound.  With
+    resume_offset and checkpoint_path, skip that many graphs and carry on
+    from the state saved there by the same search."""
     if graphs is None:
         if n is None:
             raise ValueError("give either n (internal generator) or a graph iterable")
         graphs = enumerate_graphs(n, graph_class)
     start = time.monotonic()
-    fn = None
+    fn = _metric_fn(metric, fieldspec, hochster_cap)
     report = SearchReport(metric=metric, graph_class=graph_class, n=n or 0)
+    header = {"metric": metric, "class": graph_class, "field": str(fieldspec),
+              "offset": resume_offset}
+    if checkpoint_path and resume_offset:
+        _resume(checkpoint_path, header, report)
     seen_sizes: set[int] = set()
     for offset, g in enumerate(graphs):
         if offset < resume_offset:
             continue
-        if fn is None:
-            fn = _metric_fn(metric, fieldspec, hochster_cap)
         if metric == "beta" and g.n > hochster_cap:
             raise ValueError(f"metric beta needs n <= {hochster_cap}, got {g.n}")
         value = fn(g)
         seen_sizes.add(g.n)
         report.graphs_examined += 1
-        if value > report.max_value:
-            report.max_value = value
-            report.maximizers = [encode_graph6(canonical_graph(g))]
-        elif value == report.max_value:
-            g6 = encode_graph6(canonical_graph(g))
-            if g6 not in report.maximizers:
-                report.maximizers.append(g6)
+        header["offset"] = offset + 1
         bound_name, bound = _bound_for(metric, graph_class, g.n)
-        if not bound.holds_upper_bound(value):
-            report.all_within_bound = False
-            report.violations.append(
-                {"graph6": encode_graph6(canonical_graph(g)), "value": value, "bound": bound_name}
-            )
+        within = bound.holds_upper_bound(value)
+        if value >= report.max_value or not within:
+            g6 = canonical_form(g).decode()
+            if value > report.max_value:
+                report.max_value = value
+                report.maximizers = [g6]
+            elif value == report.max_value and g6 not in report.maximizers:
+                report.maximizers.append(g6)
+            if not within:
+                report.all_within_bound = False
+                report.violations.append({"graph6": g6, "value": value, "bound": bound_name})
         if checkpoint_path and report.graphs_examined % CHECKPOINT_EVERY == 0:
-            _write_checkpoint(checkpoint_path, offset + 1, report)
+            _write_checkpoint(checkpoint_path, header, report)
     if n is None and len(seen_sizes) == 1:
         report.n = seen_sizes.pop()
     report.maximizers.sort()
@@ -240,19 +247,32 @@ def maximize(
         report.bound_name, report.bound = _bound_for(metric, graph_class, report.n)
     report.wall_time = time.monotonic() - start
     if checkpoint_path:
-        _write_checkpoint(checkpoint_path, report.graphs_examined, report)
+        _write_checkpoint(checkpoint_path, header, report)
     return report
 
 
-def _write_checkpoint(path: str, offset: int, report: SearchReport) -> None:
-    payload = {
-        "offset": offset,
-        "max_value": report.max_value,
-        "maximizers": sorted(report.maximizers),
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh)
+def _write_checkpoint(path: str, header: dict, report: SearchReport) -> None:
+    """Save the search state after header["offset"] input graphs.  The file
+    is written beside path and renamed over it, so it is never half written."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="ascii") as fh:
+        json.dump({**header, **{key: getattr(report, key) for key in CHECKPOINTED}}, fh)
         fh.write("\n")
+    os.replace(tmp, path)
+
+
+def _resume(path: str, header: dict, report: SearchReport) -> None:
+    """Load the state saved at path into report, if it is header's search."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            state = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot resume from checkpoint: {exc}") from None
+    saved = {key: state.get(key) for key in header}
+    if saved != header:
+        raise ValueError(f"cannot resume {header} from checkpoint {path} of {saved}")
+    for key in CHECKPOINTED:
+        setattr(report, key, state[key])
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +358,6 @@ def _has_independent_set(g: Graph, k: int) -> bool:
     return grow(0, g.vertex_mask, k)
 
 
-def _extensions(parent: Graph) -> Iterator[Graph]:
-    """All one-vertex extensions of parent (no isomorphism dedup)."""
-    n = parent.n + 1
-    for nb in range(1 << parent.n):
-        yield Graph(
-            n,
-            tuple(a | ((nb >> v & 1) << (n - 1)) for v, a in enumerate(parent.adj))
-            + (nb,),
-        )
-
-
 def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     """Check that Ind(G) has no homology above n/2 - 1 for every n-vertex
     graph, one isomorphism class at a time.
@@ -373,7 +382,7 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
             for parent in _classes(cap, False)
             # a child's independence number is at most the parent's plus one
             if _has_independent_set(parent, min_alpha - 1)
-            for child in _extensions(parent)
+            for child in _children(parent, False)
         )
     else:
         raise ValueError(f"vanishing sweep supported only for n <= {cap + 1}")

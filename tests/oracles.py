@@ -8,6 +8,7 @@ implementations it checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -224,3 +225,18 @@ def are_isomorphic_oracle(g: Graph, h: Graph) -> bool:
         ):
             return True
     return False
+
+
+@lru_cache(maxsize=None)
+def all_labelled_graphs(n: int) -> tuple[Graph, ...]:
+    """All 2^(n(n-1)/2) labelled graphs on n vertices, one per edge subset."""
+    pairs = list(combinations(range(n), 2))
+    out = []
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        out.append(Graph(n, tuple(adj)))
+    return tuple(out)

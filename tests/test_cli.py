@@ -8,6 +8,7 @@ from flagbetti.cli import main
 from flagbetti.complexes import FaceCapExceeded, read_facet_file, write_facet_file
 from flagbetti.constructions import fano_complex
 from flagbetti.graphs import encode_graph6, parse_graph6
+from flagbetti.invariants import Enclosure
 
 
 @pytest.fixture
@@ -60,6 +61,20 @@ def test_face_cap_is_resource_error(runner, monkeypatch, target, args):
     res = invoke(runner, args)
     assert res.exit_code == 2
     assert json.loads(res.stderr) == {"error": str(FaceCapExceeded(10))}
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--graph6", "D~{"],
+    ["search", "--n", "4"],
+])
+def test_undecided_enclosure_is_resource_error(runner, monkeypatch, args):
+    def undecided(self, value):
+        raise ArithmeticError("enclosure cannot decide")
+
+    monkeypatch.setattr(Enclosure, "holds_upper_bound", undecided)
+    res = invoke(runner, args)
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": "enclosure cannot decide"}
 
 
 class TestBeta:
@@ -173,6 +188,24 @@ class TestSearch:
     def test_needs_one_source(self, runner):
         res = invoke(runner, ["search", "--metric", "b"])
         assert res.exit_code == 2
+
+    def test_resume_from_checkpoint(self, runner, tmp_path):
+        ck = str(tmp_path / "ck.json")
+        res = invoke(runner, ["search", "--n", "4", "--checkpoint", ck])
+        assert res.exit_code == 0
+        res = invoke(runner, ["search", "--n", "4", "--checkpoint", ck, "--resume-offset", "11"])
+        assert res.exit_code == 0
+        out = json.loads(res.output)
+        assert out["graphs_examined"] == 0
+        assert out["max_value"] == 3 and out["maximizers"] == ["C~"]
+
+    def test_resume_refuses_other_class(self, runner, tmp_path):
+        ck = str(tmp_path / "ck.json")
+        invoke(runner, ["search", "--n", "4", "--checkpoint", ck])
+        res = invoke(runner, ["search", "--n", "4", "--class", "trifree",
+                              "--checkpoint", ck, "--resume-offset", "11"])
+        assert res.exit_code == 2
+        assert "cannot resume" in json.loads(res.stderr)["error"]
 
 
 class TestConstants:

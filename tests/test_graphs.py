@@ -23,7 +23,7 @@ from flagbetti.graphs import (
     parse_graph6,
 )
 from conftest import random_graph
-from oracles import are_isomorphic_oracle, graph6_encode_oracle
+from oracles import all_labelled_graphs, are_isomorphic_oracle, graph6_encode_oracle
 
 
 class TestGraph6:
@@ -162,9 +162,7 @@ class TestCanonical:
 
     def test_all_four_vertex_classes_distinct(self):
         # the 11 isomorphism classes on 4 vertices, by brute force
-        from flagbetti.graphs import _all_labelled_graphs
-
-        forms = {canonical_form(g) for g in _all_labelled_graphs(4)}
+        forms = {canonical_form(g) for g in all_labelled_graphs(4)}
         assert len(forms) == 11
 
     def test_matches_permutation_oracle(self, rng):

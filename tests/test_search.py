@@ -1,8 +1,10 @@
 import json
+from itertools import combinations
 
 import pytest
 
-from flagbetti.graphs import Graph6Error, encode_graph6, parse_graph6
+from flagbetti.graphs import Graph6Error, complete, empty_graph, encode_graph6, parse_graph6
+from flagbetti.homology import GF3
 from flagbetti.search import (
     GENERATOR_CAPS,
     conjecture_checks,
@@ -11,6 +13,7 @@ from flagbetti.search import (
     moon_moser_check,
     stream_graph6,
 )
+from oracles import all_labelled_graphs, are_isomorphic_oracle
 
 # number of graphs on n unlabelled vertices, n = 0..7
 GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]
@@ -50,6 +53,21 @@ class TestEnumeration:
 
         for g in enumerate_graphs(5, "all"):
             assert g == canonical_graph(g)
+
+    @pytest.mark.parametrize("cls", ["all", "triangle_free"])
+    @pytest.mark.parametrize("n", range(6))
+    def test_each_labelled_graph_matches_one_class(self, n, cls):
+        def triangle_free(g):
+            return not any(
+                g.adj[u] >> v & 1 and g.adj[u] >> w & 1 and g.adj[v] >> w & 1
+                for u, v, w in combinations(range(n), 3)
+            )
+
+        reps = enumerate_graphs(n, cls)
+        for g in all_labelled_graphs(n):
+            if cls == "triangle_free" and not triangle_free(g):
+                continue
+            assert sum(are_isomorphic_oracle(g, r) for r in reps) == 1, encode_graph6(g)
 
 
 class TestStreaming:
@@ -107,6 +125,50 @@ class TestMaximize:
     def test_resume_offset_skips(self):
         rep = maximize("b", "all", n=5, resume_offset=30)
         assert rep.graphs_examined == 4
+
+    def test_resume_keeps_checkpointed_state(self, tmp_path):
+        path = tmp_path / "ck.json"
+        k5, empty5 = complete(5), empty_graph(5)
+        maximize("b", graphs=[k5], checkpoint_path=str(path))
+        rep = maximize("b", graphs=[k5, empty5], checkpoint_path=str(path), resume_offset=1)
+        assert rep.graphs_examined == 1
+        assert rep.max_value == 4
+        assert rep.maximizers == ["D~{"]
+        assert rep.all_within_bound and rep.violations == []
+        payload = json.loads(path.read_text())
+        assert payload["offset"] == 2
+        assert payload["max_value"] == 4
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_resume_restores_violations(self, tmp_path):
+        path = tmp_path / "ck.json"
+        maximize("b", graphs=[complete(5)], checkpoint_path=str(path))
+        payload = json.loads(path.read_text())
+        violation = {"graph6": "D~{", "value": 4, "bound": "b-le-theta^n"}
+        payload.update(all_within_bound=False, violations=[violation])
+        path.write_text(json.dumps(payload))
+        rep = maximize("b", graphs=[complete(5), empty_graph(5)],
+                       checkpoint_path=str(path), resume_offset=1)
+        assert not rep.all_within_bound
+        assert rep.violations == [violation]
+
+    @pytest.mark.parametrize("change", [
+        {"metric": "bneigh"},
+        {"graph_class": "triangle_free"},
+        {"fieldspec": GF3},
+        {"resume_offset": 2},
+    ])
+    def test_resume_refuses_other_search(self, tmp_path, change):
+        path = str(tmp_path / "ck.json")
+        maximize("b", graphs=[empty_graph(3)], checkpoint_path=path)
+        kwargs = {"metric": "b", "resume_offset": 1, **change}
+        with pytest.raises(ValueError, match="cannot resume"):
+            maximize(graphs=[empty_graph(3)] * 3, checkpoint_path=path, **kwargs)
+
+    def test_resume_needs_the_checkpoint(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot resume"):
+            maximize("b", graphs=[empty_graph(3)] * 2,
+                     checkpoint_path=str(tmp_path / "missing.json"), resume_offset=1)
 
     def test_report_serialization(self):
         rep = maximize("b", "all", n=4)
