@@ -30,6 +30,7 @@ from .homology import GF2, GF3, RATIONALS, BettiVector, FieldSpec, betti, total_
 from .invariants import (
     b_graph,
     beta_complete_closed,
+    betti_graph,
     beta_crown_closed,
     check_bounds,
     check_complex_bounds,

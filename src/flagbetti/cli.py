@@ -26,6 +26,7 @@ from .complexes import (
 from .graphs import Graph6Error, encode_graph6, parse_graph6
 from .homology import FieldSpec, betti, total_betti
 from .invariants import (
+    betti_graph,
     check_bounds,
     check_complex_bounds,
     hochster_beta,
@@ -95,16 +96,14 @@ def betti_cmd(ctx, graph6_word, facets_path):
     """Reduced Betti numbers of Ind(graph) or of a complex."""
     if (graph6_word is None) == (facets_path is None):
         _fail("give exactly one of --graph6 or --facets")
-    if graph6_word is not None:
-        from .complexes import independence_complex
-
-        k = independence_complex(_load_graph(graph6_word))
-    else:
-        k = _load_complex(facets_path)
     try:
-        _emit(betti(k, ctx.obj["field"]).to_json_dict())
+        if graph6_word is not None:
+            bv = betti_graph(_load_graph(graph6_word), ctx.obj["field"])
+        else:
+            bv = betti(_load_complex(facets_path), ctx.obj["field"])
     except FaceCapExceeded as exc:
         _fail(str(exc))
+    _emit(bv.to_json_dict())
 
 
 @main.command("beta")

@@ -1,5 +1,20 @@
 """Graph-level Betti quantities, growth-rate constants, and bound checks.
 
+`betti_graph` reduces a graph before it builds any complex, by three
+exact steps that keep the reduced homology of Ind(G) over every field:
+
+- an isolated vertex makes Ind(G) a cone over the rest, which is
+  contractible, so every reduced Betti number is 0;
+- the fold lemma: when N(u) is inside N(v) for u != v, Ind(G) is
+  homotopy equivalent to Ind(G - v), so v is dropped;
+- a disjoint union of graphs has the join of their independence
+  complexes, and over a field the reduced Betti numbers of a join are
+  the convolution of the parts', one degree up per join.
+
+Homology runs only on the connected, fold-irreducible parts.  The
+unreduced path, `betti(independence_complex(g), field)`, stays the
+oracle the reductions are tested against.
+
 All bound comparisons pit an exact integer against a rational interval
 enclosing the (usually irrational) right-hand side, so a reported
 violation can never be a floating-point artifact.
@@ -22,7 +37,7 @@ from .complexes import (
     minimal_nonfaces,
 )
 from .graphs import Graph, bits, graph_predicates, induced, popcount
-from .homology import GF2, FieldSpec, betti, total_betti
+from .homology import GF2, BettiVector, FieldSpec, betti, total_betti
 
 __all__ = [
     "Enclosure",
@@ -280,13 +295,64 @@ def solve_constants(d_max: int = 10) -> Constants:
 # graph-level Betti quantities
 
 def b_graph(g: Graph, field: FieldSpec = GF2) -> int:
-    """Total reduced Betti number of the independence complex of g.
-    The graph with no vertices gives 1 (the empty complex)."""
-    return total_betti(independence_complex(g), field)
+    """Total reduced Betti number of the independence complex of g, by
+    `betti_graph`, so g is reduced first.  The graph with no vertices
+    gives 1 (the empty complex)."""
+    return betti_graph(g, field).total()
 
 
-def betti_graph(g: Graph, field: FieldSpec = GF2):
-    return betti(independence_complex(g), field)
+def _fold(g: Graph) -> int | None:
+    """The vertices left after the fold lemma, as a mask, or None when
+    some vertex ends up with no neighbour (Ind is a cone)."""
+    adj = g.adj
+    live = g.vertex_mask
+    changed = True
+    while changed:
+        changed = False
+        for v in bits(live):
+            nv = adj[v] & live
+            if not nv:
+                return None
+            for u in bits(live & ~(1 << v)):
+                if not adj[u] & live & ~nv:  # N(u) inside N(v): drop v
+                    live &= ~(1 << v)
+                    changed = True
+                    break
+    return live
+
+
+def betti_graph(g: Graph, field: FieldSpec = GF2) -> BettiVector:
+    """Reduced Betti numbers of the independence complex of g.
+
+    g is reduced first, and every step keeps the reduced homology: a
+    vertex with no neighbour makes Ind(g) a cone (all zeros); N(u) inside
+    N(v) for u != v lets v go (the fold lemma, Ind(G) ~ Ind(G - v)); the
+    connected components that are left give Ind(g) as the join of their
+    independence complexes, whose Betti numbers over a field are the
+    parts' convolved, b_k = sum of a_i * b_j over i + j + 1 = k.  Only
+    those components reach `betti`.  The graph with no vertices gives
+    b_-1 = 1 (the empty complex)."""
+    live = _fold(g)
+    if live is None:
+        return BettiVector((), field)
+    total = {-1: 1}  # the empty complex, the unit of the join
+    while live:
+        comp = frontier = live & -live
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= g.adj[v]
+            frontier = reach & live & ~comp
+            comp |= frontier
+        live &= ~comp
+        joined: dict[int, int] = {}
+        for j, b in betti(independence_complex(induced(g, comp)), field).by_degree:
+            for i, a in total.items():
+                joined[i + j + 1] = joined.get(i + j + 1, 0) + a * b
+        if not joined:  # an acyclic part makes the whole join acyclic
+            return BettiVector((), field)
+        total = joined
+    return BettiVector(tuple(sorted(total.items())), field)
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,11 @@ from .graphs import (
     graph_predicates,
     parse_graph6,
 )
-from .homology import GF2, FieldSpec, betti, total_betti
+from .homology import GF2, FieldSpec, total_betti
 from .invariants import (
     Enclosure,
     b_graph,
+    betti_graph,
     conjecture_power,
     gamma_enclosure,
     gamma_power,
@@ -214,9 +215,9 @@ def maximize(
     report = SearchReport(metric=metric, graph_class=graph_class, n=n or 0)
     header = {"metric": metric, "class": graph_class, "field": str(fieldspec),
               "offset": resume_offset}
-    if checkpoint_path and resume_offset:
-        _resume(checkpoint_path, header, report)
     seen_sizes: set[int] = set()
+    if checkpoint_path and resume_offset:
+        seen_sizes = _resume(checkpoint_path, header, report)
     for offset, g in enumerate(graphs):
         if offset < resume_offset:
             continue
@@ -239,30 +240,33 @@ def maximize(
                 report.all_within_bound = False
                 report.violations.append({"graph6": g6, "value": value, "bound": bound_name})
         if checkpoint_path and report.graphs_examined % CHECKPOINT_EVERY == 0:
-            _write_checkpoint(checkpoint_path, header, report)
+            _write_checkpoint(checkpoint_path, header, report, seen_sizes)
     if n is None and len(seen_sizes) == 1:
-        report.n = seen_sizes.pop()
+        (report.n,) = seen_sizes
     report.maximizers.sort()
     if report.n:
         report.bound_name, report.bound = _bound_for(metric, graph_class, report.n)
     report.wall_time = time.monotonic() - start
     if checkpoint_path:
-        _write_checkpoint(checkpoint_path, header, report)
+        _write_checkpoint(checkpoint_path, header, report, seen_sizes)
     return report
 
 
-def _write_checkpoint(path: str, header: dict, report: SearchReport) -> None:
-    """Save the search state after header["offset"] input graphs.  The file
-    is written beside path and renamed over it, so it is never half written."""
+def _write_checkpoint(path: str, header: dict, report: SearchReport, sizes: set[int]) -> None:
+    """Save the search state after header["offset"] input graphs, with the
+    vertex counts seen so far.  The file is written beside path and
+    renamed over it, so it is never half written."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as fh:
-        json.dump({**header, **{key: getattr(report, key) for key in CHECKPOINTED}}, fh)
+        state = {key: getattr(report, key) for key in CHECKPOINTED}
+        json.dump({**header, **state, "sizes": sorted(sizes)}, fh)
         fh.write("\n")
     os.replace(tmp, path)
 
 
-def _resume(path: str, header: dict, report: SearchReport) -> None:
-    """Load the state saved at path into report, if it is header's search."""
+def _resume(path: str, header: dict, report: SearchReport) -> set[int]:
+    """Load the state saved at path into report, if it is header's search,
+    and return the vertex counts it had seen."""
     try:
         with open(path, encoding="ascii") as fh:
             state = json.load(fh)
@@ -271,8 +275,12 @@ def _resume(path: str, header: dict, report: SearchReport) -> None:
     saved = {key: state.get(key) for key in header}
     if saved != header:
         raise ValueError(f"cannot resume {header} from checkpoint {path} of {saved}")
+    missing = [key for key in (*CHECKPOINTED, "sizes") if key not in state]
+    if missing:
+        raise ValueError(f"cannot resume from checkpoint {path}: it lacks {missing}")
     for key in CHECKPOINTED:
         setattr(report, key, state[key])
+    return set(state["sizes"])
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +402,7 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
         if not _has_independent_set(g, min_alpha):
             continue
         computed += 1
-        bv = betti(independence_complex(g), fieldspec)
+        bv = betti_graph(g, fieldspec)
         bad = [(d, b) for d, b in bv.by_degree if d >= min_degree and b > 0]
         if bad:
             violations.append({"graph6": encode_graph6(g), "degrees": bad})

@@ -7,7 +7,7 @@ from flagbetti import cli
 from flagbetti.cli import main
 from flagbetti.complexes import FaceCapExceeded, read_facet_file, write_facet_file
 from flagbetti.constructions import fano_complex
-from flagbetti.graphs import encode_graph6, parse_graph6
+from flagbetti.graphs import empty_graph, encode_graph6, parse_graph6
 from flagbetti.invariants import Enclosure
 
 
@@ -45,18 +45,26 @@ class TestBetti:
         res = invoke(runner, ["betti", "--graph6", "!!"])
         assert res.exit_code == 2
 
+    def test_edgeless_graph_is_reduced(self, runner):
+        # Ind is the 22-simplex: 2^23 faces unreduced, over the face cap
+        res = invoke(runner, ["betti", "--graph6", encode_graph6(empty_graph(23))])
+        assert res.exit_code == 0
+        assert json.loads(res.output) == {"betti": {}, "total": 0, "field": "gf2"}
+
 
 @pytest.mark.parametrize("target, args", [
-    ("betti", ["betti", "--graph6", "D~{"]),
+    ("betti", ["betti", "--facets", "k.facets"]),
     ("hochster_beta", ["beta", "--graph6", "D~{"]),
     ("check_bounds", ["check", "--graph6", "D~{"]),
     ("maximize", ["search", "--n", "4"]),
+    ("betti_graph", ["betti", "--graph6", "D~{"]),
 ])
-def test_face_cap_is_resource_error(runner, monkeypatch, target, args):
-    # the edgeless 23-vertex graph hits the cap for real, after 4M faces
+def test_face_cap_is_resource_error(runner, monkeypatch, tmp_path, target, args):
     def too_many_faces(*a, **kw):
         raise FaceCapExceeded(10)
 
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.facets").write_text(write_facet_file(fano_complex().complex_))
     monkeypatch.setattr(cli, target, too_many_faces)
     res = invoke(runner, args)
     assert res.exit_code == 2
@@ -85,8 +93,6 @@ class TestBeta:
         assert out["beta_total"] == 6
 
     def test_cap_respected(self, runner):
-        from flagbetti.graphs import empty_graph
-
         word = encode_graph6(empty_graph(15))
         res = invoke(runner, ["beta", "--graph6", word])
         assert res.exit_code == 2
@@ -198,6 +204,16 @@ class TestSearch:
         out = json.loads(res.output)
         assert out["graphs_examined"] == 0
         assert out["max_value"] == 3 and out["maximizers"] == ["C~"]
+
+    def test_resume_refuses_checkpoint_without_sizes(self, runner, tmp_path):
+        ck = tmp_path / "ck.json"
+        invoke(runner, ["search", "--n", "4", "--checkpoint", str(ck)])
+        payload = json.loads(ck.read_text())
+        del payload["sizes"]
+        ck.write_text(json.dumps(payload))
+        res = invoke(runner, ["search", "--n", "4", "--checkpoint", str(ck), "--resume-offset", "11"])
+        assert res.exit_code == 2
+        assert "lacks ['sizes']" in json.loads(res.stderr)["error"]
 
     def test_resume_refuses_other_class(self, runner, tmp_path):
         ck = str(tmp_path / "ck.json")

@@ -4,10 +4,20 @@ from math import comb, isqrt
 
 import pytest
 
+from flagbetti import invariants
 from flagbetti.complexes import independence_complex, skeleton_simplex, suspension
 from flagbetti.constructions import fano_bip, fano_complex, neighbourhood_power
-from flagbetti.graphs import complete, copies, crown, cycle, empty_graph
-from flagbetti.homology import GF2, GF3, RATIONALS, total_betti
+from flagbetti.graphs import (
+    complete,
+    copies,
+    crown,
+    cycle,
+    disjoint_union,
+    empty_graph,
+    encode_graph6,
+    from_edges,
+)
+from flagbetti.homology import GF2, GF3, RATIONALS, BettiVector, betti, total_betti
 from flagbetti.invariants import (
     Enclosure,
     b_graph,
@@ -27,6 +37,7 @@ from flagbetti.invariants import (
     theta_power,
     theta_small_enclosure,
 )
+from flagbetti.search import enumerate_graphs
 from conftest import random_graph
 
 
@@ -115,7 +126,46 @@ class TestGraphBetti:
         assert b_graph(copies(2, complete(5))) == 16
         assert b_graph(empty_graph(0)) == 1
         assert b_graph(empty_graph(3)) == 0  # Ind is a simplex
-        assert betti_graph(cycle(5)).by_degree == ((1, 1),)
+        assert betti_graph(cycle(5)).by_degree == ((1, 1),)  # a circle
+        assert betti_graph(copies(2, cycle(5))).by_degree == ((3, 1),)  # S^1 * S^1 = S^3
+        assert betti_graph(empty_graph(0)).by_degree == ((-1, 1),)
+
+
+class TestGraphReductions:
+    """betti_graph reduces g before homology; the unreduced path
+    betti(independence_complex(g)) is the oracle."""
+
+    @pytest.mark.parametrize("n, cls", [(n, "all") for n in range(9)] + [(9, "triangle_free")])
+    def test_reduced_equals_unreduced(self, n, cls):
+        for g in enumerate_graphs(n, cls):
+            k = independence_complex(g)
+            for field in (GF2, GF3, RATIONALS):
+                assert betti_graph(g, field) == betti(k, field), (encode_graph6(g), field)
+
+    def test_isolated_vertex_is_a_cone(self, monkeypatch):
+        # no complex is built: 2^23 faces would exceed the face cap
+        monkeypatch.setattr(invariants, "betti", None)
+        assert betti_graph(empty_graph(23), RATIONALS) == BettiVector((), RATIONALS)
+        assert b_graph(disjoint_union(complete(5), empty_graph(1))) == 0
+
+    def test_homology_runs_only_on_irreducible_components(self, monkeypatch):
+        sizes = []
+
+        def counting_betti(k, field):
+            sizes.append(k.n)
+            return betti(k, field)
+
+        monkeypatch.setattr(invariants, "betti", counting_betti)
+        # Ind(K3) is three points (b_0 = 2); three triangles join them, 2*2*2 in degree 2
+        assert betti_graph(copies(3, complete(3))).by_degree == ((2, 8),)
+        assert sizes == [3, 3, 3]
+        sizes.clear()
+        # the path 0-1-2-3 loses 2 (N(0) inside N(2)), which leaves 3 isolated
+        assert betti_graph(from_edges(4, [(0, 1), (1, 2), (2, 3)])).by_degree == ()
+        assert sizes == []
+        # the path on 5 vertices folds to two edges: S^0 * S^0 = S^1
+        assert betti_graph(from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])).by_degree == ((1, 1),)
+        assert sizes == [2, 2]
 
 
 class TestHochster:
@@ -134,8 +184,6 @@ class TestHochster:
         for _ in range(8):
             g = random_graph(rng, rng.randint(1, 4))
             h = random_graph(rng, rng.randint(1, 4))
-            from flagbetti.graphs import disjoint_union
-
             assert (
                 hochster_beta(disjoint_union(g, h)).beta_total
                 == hochster_beta(g).beta_total * hochster_beta(h).beta_total

@@ -5,6 +5,7 @@ import pytest
 
 from flagbetti.graphs import Graph6Error, complete, empty_graph, encode_graph6, parse_graph6
 from flagbetti.homology import GF3
+from flagbetti.invariants import theta_power
 from flagbetti.search import (
     GENERATOR_CAPS,
     conjecture_checks,
@@ -139,6 +140,26 @@ class TestMaximize:
         assert payload["offset"] == 2
         assert payload["max_value"] == 4
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_resume_keeps_sizes_and_bound(self, tmp_path):
+        path = tmp_path / "ck.json"
+        graphs = [complete(5), empty_graph(5)]
+        maximize("b", graphs=graphs, checkpoint_path=str(path))
+        assert json.loads(path.read_text())["sizes"] == [5]
+        rep = maximize("b", graphs=graphs, checkpoint_path=str(path), resume_offset=2)
+        assert rep.graphs_examined == 0
+        assert rep.n == 5 and rep.max_value == 4
+        assert rep.bound_name == "b-le-theta^n" and rep.bound == theta_power(5)
+        assert rep.to_json_dict()["bound_lo"] == 4.0
+
+    def test_resume_refuses_checkpoint_without_sizes(self, tmp_path):
+        path = tmp_path / "ck.json"
+        maximize("b", graphs=[empty_graph(3)], checkpoint_path=str(path))
+        payload = json.loads(path.read_text())
+        del payload["sizes"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="cannot resume .* lacks"):
+            maximize("b", graphs=[empty_graph(3)] * 2, checkpoint_path=str(path), resume_offset=1)
 
     def test_resume_restores_violations(self, tmp_path):
         path = tmp_path / "ck.json"
