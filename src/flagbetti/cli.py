@@ -26,6 +26,7 @@ from .complexes import (
 from .graphs import Graph6Error, encode_graph6, parse_graph6
 from .homology import FieldSpec, betti, total_betti
 from .invariants import (
+    HOCHSTER_CAP,
     betti_graph,
     check_bounds,
     check_complex_bounds,
@@ -82,10 +83,11 @@ def main(ctx, field_name, hochster_cap):
     """Betti numbers of flag complexes: compute, verify, search."""
     ctx.ensure_object(dict)
     ctx.obj["field"] = _field(field_name)
-    env_cap = os.environ.get("FLAGBETTI_HOCHSTER_CAP")
-    if hochster_cap is None:
-        hochster_cap = int(env_cap) if env_cap else 14
-    ctx.obj["hochster_cap"] = hochster_cap
+    env_cap = os.environ.get("FLAGBETTI_HOCHSTER_CAP") or str(HOCHSTER_CAP)
+    try:
+        ctx.obj["hochster_cap"] = int(env_cap) if hochster_cap is None else hochster_cap
+    except ValueError:
+        _fail(f"FLAGBETTI_HOCHSTER_CAP must be an integer, got {env_cap!r}")
 
 
 @main.command("betti")
@@ -260,7 +262,9 @@ def constants_cmd(dmax):
     """Growth-rate constants with certified enclosures and residuals."""
     try:
         _emit(solve_constants(dmax).to_json_dict())
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
+        _fail(str(exc))
+    except ArithmeticError as exc:
         _fail(str(exc), EXIT_MATH_FAIL)
 
 

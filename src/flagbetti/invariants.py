@@ -17,7 +17,9 @@ oracle the reductions are tested against.
 
 All bound comparisons pit an exact integer against a rational interval
 enclosing the (usually irrational) right-hand side, so a reported
-violation can never be a floating-point artifact.
+violation can never be a floating-point artifact.  Every growth base is
+the root of a polynomial with integer coefficients, and `bisect_root`
+encloses it to width 2^-120 by an exact integer bisection.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ __all__ = [
 ]
 
 HOCHSTER_CAP = 14
-BISECTION_STEPS = 120  # interval width 2^-120 from the unit start interval
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +101,8 @@ class Enclosure:
         if value > self.hi:
             return False
         raise ArithmeticError(
-            f"enclosure [{float(self.lo)}, {float(self.hi)}] cannot decide "
-            f"comparison with {value}; increase bisection precision"
+            f"enclosure [{float(self.lo)}, {float(self.hi)}] cannot decide comparison with {value}"
         )
-
-    def certainly_less_than(self, other: "Enclosure") -> bool:
-        return self.hi < other.lo
 
     def certainly_at_most(self, other: "Enclosure") -> bool:
         return self.hi <= other.lo
@@ -123,33 +120,44 @@ class Enclosure:
         return float(self.midpoint())
 
 
-def bisect_root(poly, lo=Fraction(1), hi=Fraction(2), steps: int = BISECTION_STEPS) -> Enclosure:
-    """Enclosure of the root of an increasing-sign polynomial on [lo, hi].
+def bisect_root(coeffs: tuple[int, ...], lo: int = 1, hi: int = 2) -> Enclosure:
+    """Enclosure of the root in [lo, hi] of p(x) = sum of coeffs[i] x^i.
 
-    poly must be negative at lo (or zero) and positive at hi (or zero).
-    """
-    flo, fhi = poly(lo), poly(hi)
-    if flo == 0:
-        return Enclosure(lo, lo)
-    if fhi == 0:
-        return Enclosure(hi, hi)
-    if not (flo < 0 < fhi):
+    The coefficients are integers, constant term first, and so are lo and
+    hi; p must be <= 0 at lo and >= 0 at hi, or ValueError.  The search
+    bisects the integers k in [lo 2^120, hi 2^120] by the sign of the exact
+    integer 2^(120 deg) p(k / 2^120) (Horner's rule over the non-zero
+    terms), and returns [k, k+1] / 2^120, of width 2^-120, or an exact
+    enclosure where p vanishes at a probed point.  When hi - lo is a power
+    of two, as for [1, 2], every midpoint (a + b) // 2 is exact, so the
+    endpoints are those of the bisection by exact dyadic midpoints."""
+    scale, deg = 1 << 120, len(coeffs) - 1
+    terms = [(i, c * scale ** (deg - i)) for i, c in reversed(list(enumerate(coeffs))) if c]
+
+    def value(k: int) -> int:
+        acc, prev = 0, deg
+        for i, c in terms:
+            acc, prev = acc * k ** (prev - i) + c, i
+        return acc * k**prev
+
+    a, b = lo * scale, hi * scale
+    va, vb = value(a), value(b)
+    if not va <= 0 <= vb:
         raise ValueError("root not bracketed")
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        fmid = poly(mid)
-        if fmid == 0:
-            return Enclosure(mid, mid)
-        if fmid < 0:
-            lo = mid
-        else:
-            hi = mid
-    return Enclosure(lo, hi)
+    if va == 0 or vb == 0:
+        return Enclosure.exact(lo if va == 0 else hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        v = value(mid)
+        if v == 0:
+            return Enclosure.exact(Fraction(mid, scale))
+        a, b = (mid, b) if v < 0 else (a, mid)
+    return Enclosure(Fraction(a, scale), Fraction(b, scale))
 
 
 def _root_of_power(value: int, degree: int) -> Enclosure:
     """Enclosure of value^(1/degree) for value in [1, 2^degree]."""
-    return bisect_root(lambda x: x**degree - value, Fraction(1), Fraction(2))
+    return bisect_root((-value,) + (0,) * (degree - 1) + (1,))
 
 
 @lru_cache(maxsize=None)
@@ -166,11 +174,7 @@ def gamma_enclosure(d: int = 3) -> Enclosure:
     the triangle-free growth constant, about 1.250."""
     if d < 1:
         raise ValueError("d >= 1 required")
-
-    def poly(x: Fraction) -> Fraction:
-        return x ** (2 * d) - sum(x**i for i in range(d))
-
-    return bisect_root(poly)
+    return bisect_root((-1,) * d + (0,) * d + (1,))
 
 
 @lru_cache(maxsize=None)
@@ -178,11 +182,7 @@ def theta_small_enclosure(d: int) -> Enclosure:
     """Root in [1,2] of x^d = 1 + x + ... + x^(d-1) (d-step Fibonacci-like)."""
     if d < 1:
         raise ValueError("d >= 1 required")
-
-    def poly(x: Fraction) -> Fraction:
-        return x**d - sum(x**i for i in range(d))
-
-    return bisect_root(poly)
+    return bisect_root((-1,) * d + (1,))
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ and the rationals, plus the closed-form cross-checks.
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
+from math import floor
 
 from .constructions import (
     fano_bip,
@@ -20,8 +21,10 @@ from .constructions import (
 from .graphs import complete, crown
 from .homology import GF2, GF3, RATIONALS, FieldSpec
 from .invariants import (
+    Enclosure,
     beta_complete_closed,
     beta_crown_closed,
+    bisect_root,
     gamma_enclosure,
     hochster_beta,
     theta_enclosure,
@@ -37,34 +40,22 @@ CONSTRUCTION_BASES = [
 ]
 
 
-def _root_4dp(value: int, degree: int) -> int:
-    """floor(value^(1/degree) * 10^4) by integer bisection (exact)."""
-    scale = 10**4
-    lo, hi = 0, 3 * scale
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**degree <= value * scale**degree:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+def _base_enclosure(value: int, degree: int) -> Enclosure:
+    """Enclosure of value^(1/degree), a root of x^degree - value on [1, 3]."""
+    return bisect_root((-value,) + (0,) * (degree - 1) + (1,), 1, 3)
 
 
-def _nth_root_3dp(value: int, degree: int) -> Decimal:
-    """value^(1/degree) rounded to three decimals from its four-decimal
-    truncation."""
-    return Decimal((_root_4dp(value, degree) + 5) // 10) / Decimal(1000)
-
-
-def _matches_3dp(value: int, degree: int, published: Decimal) -> bool:
-    """True when value^(1/degree) agrees with the published 3-decimal
+def _matches_3dp(enc: Enclosure, published: Decimal) -> bool:
+    """True when the enclosed base agrees with the published 3-decimal
     figure to within one unit in the last place (published tables mix
-    rounding and truncation and are occasionally a half-ulp off)."""
-    base_milli = Decimal(_root_4dp(value, degree)) / 10  # base * 1000, truncated to 0.1
+    rounding and truncation and are occasionally a half-ulp off).
+    floor(10^4 lo) is the base's four-decimal truncation when no multiple
+    of 10^-4 lies in (lo, hi]; tests check that for every table base."""
+    base_milli = Decimal(floor(enc.lo * 10**4)) / 10  # base * 1000, truncated to 0.1
     return abs(base_milli - published * 1000) <= Decimal("1.05")
 
 
-def _enclosure_3dp(enc) -> Decimal:
+def _enclosure_3dp(enc: Enclosure) -> Decimal:
     mid = enc.midpoint()
     with localcontext() as ctx:
         ctx.prec = 30
@@ -90,16 +81,17 @@ def run_table1(field: FieldSpec) -> dict:
     }
     for name, (value, degree), published in CONSTRUCTION_BASES:
         engine = engine_values[name]
+        base = _base_enclosure(value, degree)
         rows.append(
             {
                 "name": name,
                 "exact_value": value,
                 "root_degree": degree,
-                "base_3dp": str(_nth_root_3dp(value, degree)),
+                "base_3dp": str(_enclosure_3dp(base)),
                 "published_base": str(published),
                 "engine_computed": engine["computed"],
                 "engine_expected": engine["expected"],
-                "pass": _matches_3dp(value, degree, published)
+                "pass": _matches_3dp(base, published)
                 and engine["computed"] == engine["expected"],
             }
         )

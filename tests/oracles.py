@@ -240,3 +240,26 @@ def all_labelled_graphs(n: int) -> tuple[Graph, ...]:
                 adj[v] |= 1 << u
         out.append(Graph(n, tuple(adj)))
     return tuple(out)
+
+
+def bisect_root_oracle(poly, lo=Fraction(1), hi=Fraction(2), steps: int = 120):
+    """(lo, hi) after `steps` halvings of [lo, hi] by exact `Fraction`
+    midpoints, for a callable poly negative at lo and positive at hi;
+    (r, r) when a probed point r is a root."""
+    flo, fhi = poly(lo), poly(hi)
+    if flo == 0:
+        return lo, lo
+    if fhi == 0:
+        return hi, hi
+    if not flo < 0 < fhi:
+        raise ValueError("root not bracketed")
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        fmid = poly(mid)
+        if fmid == 0:
+            return mid, mid
+        if fmid < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

@@ -102,6 +102,14 @@ class TestBeta:
         assert res.exit_code == 2
         assert "cap=0" in json.loads(res.stderr)["error"]
 
+    def test_bad_cap_env_is_usage_error(self, runner):
+        res = invoke(runner, ["beta", "--graph6", "D~{"], env={"FLAGBETTI_HOCHSTER_CAP": "abc"})
+        assert res.exit_code == 2
+        assert "FLAGBETTI_HOCHSTER_CAP" in json.loads(res.stderr)["error"]
+        res = invoke(runner, ["beta", "--graph6", "D~{"], env={"FLAGBETTI_HOCHSTER_CAP": "4"})
+        assert res.exit_code == 2
+        assert "cap=4" in json.loads(res.stderr)["error"]
+
 
 class TestTransforms:
     def test_dual_round_trip(self, runner, tmp_path):
@@ -232,6 +240,20 @@ class TestConstants:
         assert out["theta"].startswith("1.3195")
         assert out["gamma"].startswith("1.2498")
         assert out["theta_maximal_up_to"] == 6
+
+    def test_dmax_zero_is_usage_error(self, runner):
+        res = invoke(runner, ["constants", "--dmax", "0"])
+        assert res.exit_code == 2
+        assert "d_max" in json.loads(res.stderr)["error"]
+
+    def test_failed_maximality_sweep_is_math_failure(self, runner, monkeypatch):
+        def failing(d_max):
+            raise ArithmeticError("maximality sweep failed; constants are wrong")
+
+        monkeypatch.setattr(cli, "solve_constants", failing)
+        res = invoke(runner, ["constants", "--dmax", "6"])
+        assert res.exit_code == 1
+        assert "maximality" in json.loads(res.stderr)["error"]
 
 
 class TestCheck:

@@ -39,6 +39,7 @@ from flagbetti.invariants import (
 )
 from flagbetti.search import enumerate_graphs
 from conftest import random_graph
+from oracles import bisect_root_oracle
 
 
 class TestEnclosure:
@@ -59,16 +60,39 @@ class TestEnclosure:
 
     def test_bisect_root(self):
         # golden ratio as the root of x^2 - x - 1
-        enc = bisect_root(lambda x: x * x - x - 1)
-        golden = (1 + 5**0.5) / 2
-        assert enc.lo <= Fraction(golden).limit_denominator(10**15) <= enc.hi or abs(
-            float(enc.midpoint()) - golden
-        ) < 1e-12
-        assert enc.hi - enc.lo <= Fraction(1, 2**120)
+        enc = bisect_root((-1, -1, 1))
+        assert enc.lo < enc.hi and enc.hi - enc.lo == Fraction(1, 2**120)
+        assert enc.lo**2 - enc.lo - 1 < 0 < enc.hi**2 - enc.hi - 1
+        assert abs(float(enc.midpoint()) - (1 + 5**0.5) / 2) < 1e-12
 
     def test_bisect_errors(self):
         with pytest.raises(ValueError):
-            bisect_root(lambda x: x + 10)
+            bisect_root((10, 1))  # x + 10 > 0 on [1, 2]
+
+    @pytest.mark.parametrize("coeffs, root", [
+        ((-1, 0, 1), Fraction(1)),  # at lo
+        ((-4, 0, 1), Fraction(2)),  # at hi
+        ((-3, 2), Fraction(3, 2)),  # the first midpoint
+    ])
+    def test_bisect_exact_roots(self, coeffs, root):
+        enc = bisect_root(coeffs)
+        assert (enc.lo, enc.hi) == (root, root)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_enclosures_equal_fraction_bisection(self, d):
+        """Endpoint for endpoint, the integer bisection gives what 120
+        exact Fraction halvings of [1, 2] give."""
+        cases = [
+            (theta_enclosure(d), lambda x: x ** (d + 1) - d),
+            (gamma_enclosure(d), lambda x: x ** (2 * d) - sum(x**i for i in range(d))),
+            (theta_small_enclosure(d), lambda x: x**d - sum(x**i for i in range(d))),
+        ]
+        if d >= 2:
+            cases.append(
+                (conjecture_base_enclosure(d), lambda x: x ** (2 * d + 1) - comb(2 * d, d - 1))
+            )
+        for enc, poly in cases:
+            assert (enc.lo, enc.hi) == bisect_root_oracle(poly)
 
 
 class TestConstants:
