@@ -8,7 +8,6 @@ counterexample), 2 usage or resource error.  All regular output is JSON
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -76,18 +75,14 @@ def _emit(obj) -> None:
 @click.group()
 @click.option("--field", "field_name", default="gf2", show_default=True,
               help="Coefficient field: gf<p> or rational.")
-@click.option("--hochster-cap", default=None, type=int,
-              help="Max n for the induced-subgraph Betti sum (env FLAGBETTI_HOCHSTER_CAP).")
+@click.option("--hochster-cap", default=HOCHSTER_CAP, type=int, show_default=True,
+              help="Max n for the induced-subgraph Betti sum.")
 @click.pass_context
 def main(ctx, field_name, hochster_cap):
     """Betti numbers of flag complexes: compute, verify, search."""
     ctx.ensure_object(dict)
     ctx.obj["field"] = _field(field_name)
-    env_cap = os.environ.get("FLAGBETTI_HOCHSTER_CAP") or str(HOCHSTER_CAP)
-    try:
-        ctx.obj["hochster_cap"] = int(env_cap) if hochster_cap is None else hochster_cap
-    except ValueError:
-        _fail(f"FLAGBETTI_HOCHSTER_CAP must be an integer, got {env_cap!r}")
+    ctx.obj["hochster_cap"] = hochster_cap
 
 
 @main.command("betti")
@@ -110,16 +105,12 @@ def betti_cmd(ctx, graph6_word, facets_path):
 
 @main.command("beta")
 @click.option("--graph6", "graph6_word", required=True)
-@click.option("--workers", default=0, type=int, show_default=True,
-              help="Parallel workers; 0 means serial.")
 @click.pass_context
-def beta_cmd(ctx, graph6_word, workers):
+def beta_cmd(ctx, graph6_word):
     """Induced-subgraph Betti sum (Hochster total) of a graph."""
     g = _load_graph(graph6_word)
     try:
-        report = hochster_beta(
-            g, ctx.obj["field"], cap=ctx.obj["hochster_cap"], workers=workers or None
-        )
+        report = hochster_beta(g, ctx.obj["field"], cap=ctx.obj["hochster_cap"])
     except (ValueError, FaceCapExceeded) as exc:
         _fail(str(exc))
     _emit(report.to_json_dict())
@@ -278,6 +269,8 @@ def check_cmd(ctx, graph6_word, facets_path, with_beta):
     """Bound report for one graph or complex."""
     if (graph6_word is None) == (facets_path is None):
         _fail("give exactly one of --graph6 or --facets")
+    if with_beta and facets_path is not None:
+        _fail("--beta applies to graphs only, not to --facets")
     try:
         if graph6_word is not None:
             report = check_bounds(

@@ -59,7 +59,7 @@ class GoldenCase:
     expected: int
     note: str
 
-    def computed(self, field: FieldSpec = GF2, beta_cap: int = 14) -> int:
+    def computed(self, field: FieldSpec = GF2) -> int:
         if self.kind == "graph_b":
             return b_graph(self.graph, field)
         if self.kind == "complex_b":
@@ -67,11 +67,7 @@ class GoldenCase:
         if self.kind == "neighbourhood_b":
             return total_betti(neighbourhood_complex(self.graph), field)
         if self.kind == "beta":
-            if self.graph.n > beta_cap:
-                raise ValueError(
-                    f"case {self.name}: n={self.graph.n} exceeds the Hochster cap"
-                )
-            return hochster_beta(self.graph, field, cap=beta_cap).beta_total
+            return hochster_beta(self.graph, field).beta_total
         raise ValueError(f"unknown kind {self.kind}")
 
 

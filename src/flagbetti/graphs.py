@@ -111,10 +111,10 @@ class Graph6Error(ValueError):
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 word (without trailing newline)."""
-    if not text:
-        raise Graph6Error("empty graph6 word", 0)
     if text.startswith(">>graph6<<"):
         text = text[10:]
+    if not text:
+        raise Graph6Error("empty graph6 word", 0)
     first = ord(text[0])
     if first == 126:
         raise Graph6Error("graphs with more than 62 vertices are unsupported", 0)

@@ -24,8 +24,6 @@ encloses it to width 2^-120 by an exact integer bisection.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -371,46 +369,22 @@ class HochsterReport:
         }
 
 
-def _hochster_range(args) -> dict:
-    g, field, lo, hi = args
-    hist: dict[int, int] = {}
-    for w in range(lo, hi):
-        contrib = b_graph(induced(g, w), field)
-        if contrib:
-            hist[popcount(w)] = hist.get(popcount(w), 0) + contrib
-    return hist
-
-
 def hochster_beta(
-    g: Graph,
-    field: FieldSpec = GF2,
-    cap: int = HOCHSTER_CAP,
-    workers: int | None = None,
+    g: Graph, field: FieldSpec = GF2, cap: int = HOCHSTER_CAP
 ) -> HochsterReport:
-    """Sum of b over all 2^n induced subgraphs (exact brute force).
+    """Sum of b over all 2^n induced subgraphs, by exact brute force.
 
-    With workers > 1 the subset range is split across at most
-    os.cpu_count() processes; the combining step is integer addition, so
-    the result is deterministic.
+    Each vertex subset w adds b(G[w]) to the bucket of its size; sizes
+    whose subgraphs all have b = 0 get no bucket.  Graphs with more than
+    cap vertices are refused with a ValueError.
     """
     if g.n > cap:
         raise ValueError(f"hochster sum refused for n={g.n} > cap={cap}")
-    workers = min(workers or 1, os.cpu_count() or 1)
-    total_subsets = 1 << g.n
-    if workers > 1 and total_subsets >= 1 << 10:
-        step = -(-total_subsets // workers)
-        chunks = [
-            (g, field, lo, min(lo + step, total_subsets))
-            for lo in range(0, total_subsets, step)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_hochster_range, chunks))
-    else:
-        partials = [_hochster_range((g, field, 0, total_subsets))]
     hist: dict[int, int] = {}
-    for part in partials:
-        for size, contrib in part.items():
-            hist[size] = hist.get(size, 0) + contrib
+    for w in range(1 << g.n):
+        contrib = b_graph(induced(g, w), field)
+        if contrib:
+            hist[popcount(w)] = hist.get(popcount(w), 0) + contrib
     return HochsterReport(sum(hist.values()), hist)
 
 

@@ -28,6 +28,7 @@ from .graphs import (
 )
 from .homology import GF2, FieldSpec, total_betti
 from .invariants import (
+    HOCHSTER_CAP,
     Enclosure,
     b_graph,
     betti_graph,
@@ -198,7 +199,7 @@ def maximize(
     n: int | None = None,
     graphs: Iterable[Graph] | None = None,
     fieldspec: FieldSpec = GF2,
-    hochster_cap: int = 14,
+    hochster_cap: int = HOCHSTER_CAP,
     checkpoint_path: str | None = None,
     resume_offset: int = 0,
 ) -> SearchReport:
@@ -221,8 +222,6 @@ def maximize(
     for offset, g in enumerate(graphs):
         if offset < resume_offset:
             continue
-        if metric == "beta" and g.n > hochster_cap:
-            raise ValueError(f"metric beta needs n <= {hochster_cap}, got {g.n}")
         value = fn(g)
         seen_sizes.add(g.n)
         report.graphs_examined += 1

@@ -45,6 +45,11 @@ class TestBetti:
         res = invoke(runner, ["betti", "--graph6", "!!"])
         assert res.exit_code == 2
 
+    def test_header_only_graph6_is_usage_error(self, runner):
+        res = invoke(runner, ["betti", "--graph6", ">>graph6<<"])
+        assert res.exit_code == 2
+        assert "empty graph6 word" in json.loads(res.stderr)["error"]
+
     def test_edgeless_graph_is_reduced(self, runner):
         # Ind is the 22-simplex: 2^23 faces unreduced, over the face cap
         res = invoke(runner, ["betti", "--graph6", encode_graph6(empty_graph(23))])
@@ -102,13 +107,10 @@ class TestBeta:
         assert res.exit_code == 2
         assert "cap=0" in json.loads(res.stderr)["error"]
 
-    def test_bad_cap_env_is_usage_error(self, runner):
-        res = invoke(runner, ["beta", "--graph6", "D~{"], env={"FLAGBETTI_HOCHSTER_CAP": "abc"})
+    def test_non_integer_cap_is_usage_error(self, runner):
+        res = invoke(runner, ["--hochster-cap", "abc", "beta", "--graph6", "D~{"])
         assert res.exit_code == 2
-        assert "FLAGBETTI_HOCHSTER_CAP" in json.loads(res.stderr)["error"]
-        res = invoke(runner, ["beta", "--graph6", "D~{"], env={"FLAGBETTI_HOCHSTER_CAP": "4"})
-        assert res.exit_code == 2
-        assert "cap=4" in json.loads(res.stderr)["error"]
+        assert "--hochster-cap" in res.stderr
 
 
 class TestTransforms:
@@ -194,6 +196,22 @@ class TestSearch:
         res = invoke(runner, ["search", "--metric", "b", "--stdin"], input="Bw\n!!\n")
         assert res.exit_code == 2
 
+    def test_header_only_line(self, runner):
+        words = "Bw\n>>graph6<<\n"
+        res = invoke(runner, ["search", "--metric", "b", "--stdin", "--no-strict"], input=words)
+        assert res.exit_code == 0
+        assert json.loads(res.output)["graphs_examined"] == 1
+        res = invoke(runner, ["search", "--metric", "b", "--stdin"], input=words)
+        assert res.exit_code == 2
+        assert json.loads(res.stderr)["error"].startswith("line 2: empty graph6 word")
+
+    def test_beta_over_cap(self, runner):
+        word = encode_graph6(empty_graph(4)) + "\n"
+        res = invoke(runner, ["--hochster-cap", "3", "search", "--metric", "beta", "--stdin"],
+                     input=word)
+        assert res.exit_code == 2
+        assert "n=4 > cap=3" in json.loads(res.stderr)["error"]
+
     def test_tsv(self, runner):
         res = invoke(runner, ["search", "--metric", "b", "--n", "4", "--tsv"])
         assert res.exit_code == 0
@@ -269,6 +287,14 @@ class TestCheck:
         res = invoke(runner, ["check", "--facets", str(path)])
         assert res.exit_code == 0
         assert json.loads(res.output)["all_pass"]
+
+    def test_beta_refused_for_complex(self, runner, tmp_path):
+        path = tmp_path / "k.facets"
+        path.write_text(write_facet_file(fano_complex().complex_))
+        res = invoke(runner, ["check", "--facets", str(path), "--beta"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "graphs only" in json.loads(res.stderr)["error"]
 
     def test_field_option(self, runner):
         res = invoke(runner, ["--field", "gf3", "betti", "--graph6", "D~{"])

@@ -1,0 +1,27 @@
+"""Smoke test: the quick demos run to completion.
+
+`demos/03_extremal_search.py` is left out: its exhaustive searches take
+about 19 s on a 2-vCPU VM, and `search` is covered by the acceptance tests.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", [
+    "01_betti_basics.py",
+    "02_constants_and_bounds.py",
+    "04_hochster_and_duality.py",
+])
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr

@@ -62,6 +62,11 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             parse_graph6("~~?")  # > 62 vertices unsupported
 
+    def test_header_only_word(self):
+        with pytest.raises(Graph6Error, match="empty"):
+            parse_graph6(">>graph6<<")
+        assert parse_graph6(">>graph6<<Bw") == parse_graph6("Bw")
+
     def test_encode_refuses_large(self):
         with pytest.raises(Graph6Error):
             encode_graph6(empty_graph(63))

@@ -217,41 +217,6 @@ class TestHochster:
         with pytest.raises(ValueError):
             hochster_beta(empty_graph(15))
 
-    def test_workers_match_serial(self):
-        g = crown(3)
-        serial = hochster_beta(g)
-        parallel = hochster_beta(g, workers=2)
-        assert serial == parallel
-
-    def test_workers_clamped_to_cpus(self, monkeypatch):
-        from flagbetti import invariants
-
-        seen = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(invariants, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(invariants.os, "cpu_count", lambda: 3)
-        g = crown(5)  # 2^10 subsets, the least that is split into chunks
-        serial = hochster_beta(g)
-        assert serial.beta_total == beta_crown_closed(5)
-        assert hochster_beta(g, workers=10**6) == serial
-        assert seen == [3]
-        monkeypatch.setattr(invariants.os, "cpu_count", lambda: None)
-        assert hochster_beta(g, workers=4) == serial
-        assert seen == [3]  # one usable CPU: no pool at all
-
     def test_histogram_sums(self):
         rep = hochster_beta(complete(4))
         assert sum(rep.per_subset_histogram.values()) == rep.beta_total

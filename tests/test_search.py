@@ -115,6 +115,10 @@ class TestMaximize:
         assert rep.max_value == 18
         assert rep.all_within_bound
 
+    def test_beta_metric_refuses_over_cap(self):
+        with pytest.raises(ValueError, match="cap=14"):
+            maximize("beta", graphs=[empty_graph(15)])
+
     def test_checkpointing(self, tmp_path):
         path = tmp_path / "ck.json"
         rep = maximize("b", "all", n=5, checkpoint_path=str(path))
