@@ -3,6 +3,11 @@
 Exit codes: 0 all checks pass, 1 a mathematical check failed (potential
 counterexample), 2 usage or resource error.  All regular output is JSON
 (or TSV where noted); stderr carries machine-readable error JSON.
+
+Library errors are mapped to exit codes in one place, `_Boundary.invoke`:
+a ValueError, ArithmeticError, OSError or FaceCapExceeded from any command
+exits 2, so a crash never reads as a counterexample.  Only `constants`
+maps an error itself: its failed maximality sweep is a failed check (exit 1).
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from .complexes import (
     read_facet_file,
     write_facet_file,
 )
-from .graphs import Graph6Error, encode_graph6, parse_graph6
-from .homology import FieldSpec, betti, total_betti
+from .graphs import encode_graph6, parse_graph6
+from .homology import FieldSpec, betti
 from .invariants import (
     HOCHSTER_CAP,
     betti_graph,
@@ -45,26 +50,9 @@ def _fail(message: str, code: int = EXIT_USAGE):
     sys.exit(code)
 
 
-def _field(name: str) -> FieldSpec:
-    try:
-        return FieldSpec.parse(name)
-    except ValueError as exc:
-        _fail(str(exc))
-
-
 def _load_complex(facets_path: str):
-    try:
-        with open(facets_path, encoding="ascii") as fh:
-            return read_facet_file(fh.read())
-    except (OSError, ValueError) as exc:
-        _fail(f"cannot read facet file: {exc}")
-
-
-def _load_graph(graph6: str):
-    try:
-        return parse_graph6(graph6)
-    except Graph6Error as exc:
-        _fail(f"bad graph6: {exc}")
+    with open(facets_path, encoding="ascii") as fh:
+        return read_facet_file(fh.read())
 
 
 def _emit(obj) -> None:
@@ -72,7 +60,20 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-@click.group()
+class _Boundary(click.Group):
+    """Runs the group and its command; a library error becomes exit 2.
+
+    Click's own errors (usage errors, --help's Exit) pass through, so they
+    keep click's text and exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, ArithmeticError, OSError, FaceCapExceeded) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Boundary)
 @click.option("--field", "field_name", default="gf2", show_default=True,
               help="Coefficient field: gf<p> or rational.")
 @click.option("--hochster-cap", default=HOCHSTER_CAP, type=int, show_default=True,
@@ -81,7 +82,7 @@ def _emit(obj) -> None:
 def main(ctx, field_name, hochster_cap):
     """Betti numbers of flag complexes: compute, verify, search."""
     ctx.ensure_object(dict)
-    ctx.obj["field"] = _field(field_name)
+    ctx.obj["field"] = FieldSpec.parse(field_name)
     ctx.obj["hochster_cap"] = hochster_cap
 
 
@@ -93,13 +94,10 @@ def betti_cmd(ctx, graph6_word, facets_path):
     """Reduced Betti numbers of Ind(graph) or of a complex."""
     if (graph6_word is None) == (facets_path is None):
         _fail("give exactly one of --graph6 or --facets")
-    try:
-        if graph6_word is not None:
-            bv = betti_graph(_load_graph(graph6_word), ctx.obj["field"])
-        else:
-            bv = betti(_load_complex(facets_path), ctx.obj["field"])
-    except FaceCapExceeded as exc:
-        _fail(str(exc))
+    if graph6_word is not None:
+        bv = betti_graph(parse_graph6(graph6_word), ctx.obj["field"])
+    else:
+        bv = betti(_load_complex(facets_path), ctx.obj["field"])
     _emit(bv.to_json_dict())
 
 
@@ -108,11 +106,8 @@ def betti_cmd(ctx, graph6_word, facets_path):
 @click.pass_context
 def beta_cmd(ctx, graph6_word):
     """Induced-subgraph Betti sum (Hochster total) of a graph."""
-    g = _load_graph(graph6_word)
-    try:
-        report = hochster_beta(g, ctx.obj["field"], cap=ctx.obj["hochster_cap"])
-    except (ValueError, FaceCapExceeded) as exc:
-        _fail(str(exc))
+    g = parse_graph6(graph6_word)
+    report = hochster_beta(g, ctx.obj["field"], cap=ctx.obj["hochster_cap"])
     _emit(report.to_json_dict())
 
 
@@ -120,41 +115,28 @@ def beta_cmd(ctx, graph6_word):
 @click.option("--facets", "facets_path", required=True)
 def dual_cmd(facets_path):
     """Alexander dual of a complex, as a facet file on stdout."""
-    k = _load_complex(facets_path)
-    try:
-        sys.stdout.write(write_facet_file(alexander_dual(k)))
-    except ValueError as exc:
-        _fail(str(exc))
+    sys.stdout.write(write_facet_file(alexander_dual(_load_complex(facets_path))))
 
 
 @main.command("bip")
 @click.option("--facets", "facets_path", required=True)
 def bip_cmd(facets_path):
     """Vertex/facet non-incidence bipartite graph, as graph6 on stdout."""
-    k = _load_complex(facets_path)
-    try:
-        click.echo(encode_graph6(bip_graph(k)))
-    except (ValueError, Graph6Error) as exc:
-        _fail(str(exc))
+    click.echo(encode_graph6(bip_graph(_load_complex(facets_path))))
 
 
 @main.command("neigh")
 @click.option("--graph6", "graph6_word", required=True)
 def neigh_cmd(graph6_word):
     """Neighbourhood complex of a graph, as a facet file on stdout."""
-    g = _load_graph(graph6_word)
-    sys.stdout.write(write_facet_file(neighbourhood_complex(g)))
+    sys.stdout.write(write_facet_file(neighbourhood_complex(parse_graph6(graph6_word))))
 
 
 @main.command("dom")
 @click.option("--graph6", "graph6_word", required=True)
 def dom_cmd(graph6_word):
     """Dominance complex of a graph, as a facet file on stdout."""
-    g = _load_graph(graph6_word)
-    try:
-        sys.stdout.write(write_facet_file(dominance_complex(g)))
-    except ValueError as exc:
-        _fail(str(exc))
+    sys.stdout.write(write_facet_file(dominance_complex(parse_graph6(graph6_word))))
 
 
 BUILDERS = {
@@ -181,10 +163,7 @@ def build_cmd(name, params):
     builder, argnames = BUILDERS[name]
     if len(params) != len(argnames):
         _fail(f"{name} takes parameters {argnames}")
-    try:
-        case = builder(*params)
-    except ValueError as exc:
-        _fail(str(exc))
+    case = builder(*params)
     record = {
         "name": case.name,
         "params": case.params,
@@ -230,16 +209,12 @@ def search_cmd(ctx, metric, graph_class, size, use_stdin, strict, tsv, checkpoin
     cls = {"all": "all", "trifree": "triangle_free", "bip": "bipartite"}[graph_class]
     if use_stdin == (size is not None):
         _fail("give exactly one of --n or --stdin")
-    try:
-        report = maximize(
-            metric, cls, n=size,
-            graphs=stream_graph6(sys.stdin, strict=strict) if use_stdin else None,
-            fieldspec=ctx.obj["field"], hochster_cap=ctx.obj["hochster_cap"],
-            checkpoint_path=checkpoint, resume_offset=resume_offset,
-        )
-    except (ValueError, FaceCapExceeded, ArithmeticError) as exc:
-        # an undecided bound comparison is a resource error, not a counterexample
-        _fail(str(exc))
+    report = maximize(
+        metric, cls, n=size,
+        graphs=stream_graph6(sys.stdin, strict=strict) if use_stdin else None,
+        fieldspec=ctx.obj["field"], hochster_cap=ctx.obj["hochster_cap"],
+        checkpoint_path=checkpoint, resume_offset=resume_offset,
+    )
     if tsv:
         click.echo(report.to_tsv_line())
     else:
@@ -253,9 +228,7 @@ def constants_cmd(dmax):
     """Growth-rate constants with certified enclosures and residuals."""
     try:
         _emit(solve_constants(dmax).to_json_dict())
-    except ValueError as exc:
-        _fail(str(exc))
-    except ArithmeticError as exc:
+    except ArithmeticError as exc:  # a failed maximality sweep is a failed check
         _fail(str(exc), EXIT_MATH_FAIL)
 
 
@@ -271,17 +244,14 @@ def check_cmd(ctx, graph6_word, facets_path, with_beta):
         _fail("give exactly one of --graph6 or --facets")
     if with_beta and facets_path is not None:
         _fail("--beta applies to graphs only, not to --facets")
-    try:
-        if graph6_word is not None:
-            report = check_bounds(
-                _load_graph(graph6_word), ctx.obj["field"],
-                include_beta=with_beta, hochster_cap=ctx.obj["hochster_cap"],
-            )
-            report["graph6"] = graph6_word
-        else:
-            report = check_complex_bounds(_load_complex(facets_path), ctx.obj["field"])
-    except (ValueError, FaceCapExceeded, ArithmeticError) as exc:
-        _fail(str(exc))
+    if graph6_word is not None:
+        report = check_bounds(
+            parse_graph6(graph6_word), ctx.obj["field"],
+            include_beta=with_beta, hochster_cap=ctx.obj["hochster_cap"],
+        )
+        report["graph6"] = graph6_word
+    else:
+        report = check_complex_bounds(_load_complex(facets_path), ctx.obj["field"])
     _emit(report)
     sys.exit(EXIT_OK if report["all_pass"] else EXIT_MATH_FAIL)
 

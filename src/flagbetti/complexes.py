@@ -181,10 +181,10 @@ def neighbourhood_complex(g: Graph) -> Complex:
     return Complex(len(nonisolated), _prune_to_maximal(gen))
 
 
-def dominance_complex(g: Graph, cap: int = DOMINANCE_CAP) -> Complex:
+def dominance_complex(g: Graph) -> Complex:
     """Faces are complements of dominating sets of g (brute force)."""
-    if g.n > cap:
-        raise ValueError(f"dominance complex refused for n={g.n} > cap={cap}")
+    if g.n > DOMINANCE_CAP:
+        raise ValueError(f"dominance complex refused for n={g.n} > cap={DOMINANCE_CAP}")
     if g.n == 0:
         return Complex(0, (0,))
     full = g.vertex_mask
@@ -341,9 +341,9 @@ def all_faces(k: Complex, cap: int = DEFAULT_FACE_CAP) -> list[int]:
     return sorted(seen, key=lambda m: (popcount(m), m))
 
 
-def face_census(k: Complex, cap: int = DEFAULT_FACE_CAP) -> dict:
+def face_census(k: Complex) -> dict:
     """f-vector indexed by face cardinality, plus the total face count."""
-    faces = all_faces(k, cap)
+    faces = all_faces(k)
     fvec: dict[int, int] = {}
     for f in faces:
         fvec[popcount(f)] = fvec.get(popcount(f), 0) + 1

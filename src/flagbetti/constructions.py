@@ -121,8 +121,8 @@ def missing_face_complex(n: int, d: int) -> GoldenCase:
     b = C(2d, d-1)^(n/(2d+1)) and all minimal non-faces have d vertices."""
     if d < 2:
         raise ValueError("d >= 2 required")
-    if n % (2 * d + 1):
-        raise ValueError("need (2d+1) | n")
+    if n < 2 * d + 1 or n % (2 * d + 1):
+        raise ValueError("need n >= 2d+1 and (2d+1) | n")
     block = skeleton_simplex(2 * d, d - 2)
     k = block
     for _ in range(n // (2 * d + 1) - 1):
@@ -140,8 +140,8 @@ def missing_face_complex(n: int, d: int) -> GoldenCase:
 
 def neighbourhood_power(n: int) -> GoldenCase:
     """Repeated join-sum of 2K_2; the neighbourhood complex has b = 3^(n/4)."""
-    if n % 4:
-        raise ValueError("need 4 | n")
+    if n < 4 or n % 4:
+        raise ValueError("need n >= 4 and 4 | n")
     two_k2 = copies(2, complete(2))
     g = two_k2
     for _ in range(n // 4 - 1):

@@ -380,10 +380,10 @@ def _min_code(g: Graph, colors: list[int]) -> list[int]:
     return best_order
 
 
-def canonical_graph(g: Graph, cap: int = CANONICAL_CAP) -> Graph:
+def canonical_graph(g: Graph) -> Graph:
     """Canonically relabelled copy of g; equal for isomorphic inputs."""
-    if g.n > cap:
-        raise ValueError(f"canonical labelling refused for n={g.n} > cap={cap}")
+    if g.n > CANONICAL_CAP:
+        raise ValueError(f"canonical labelling refused for n={g.n} > cap={CANONICAL_CAP}")
     if g.n <= 1:
         return g
     colors = _refine_colors(g)
@@ -396,6 +396,6 @@ def canonical_graph(g: Graph, cap: int = CANONICAL_CAP) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
-def canonical_form(g: Graph, cap: int = CANONICAL_CAP) -> bytes:
-    """Byte string equal for two graphs iff they are isomorphic (n <= cap)."""
-    return encode_graph6(canonical_graph(g, cap)).encode("ascii")
+def canonical_form(g: Graph) -> bytes:
+    """Byte string equal for two graphs iff they are isomorphic (n <= CANONICAL_CAP)."""
+    return encode_graph6(canonical_graph(g)).encode("ascii")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import Complex, DEFAULT_FACE_CAP, all_faces
+from .complexes import Complex, all_faces
 from .graphs import bits, popcount
 
 __all__ = [
@@ -110,21 +110,21 @@ class SparseMatrix:
     columns: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _faces_by_dim(k: Complex, cap: int) -> list[list[int]]:
-    faces = all_faces(k, cap)
+def _faces_by_dim(k: Complex) -> list[list[int]]:
+    """Faces grouped by dimension -1..dim; all_faces already sorts them by
+    (size, mask), so each layer comes out sorted."""
     by_dim: dict[int, list[int]] = {}
-    for f in faces:
+    for f in all_faces(k):
         by_dim.setdefault(popcount(f) - 1, []).append(f)
-    top = max(by_dim)
-    return [sorted(by_dim.get(d, [])) for d in range(-1, top + 1)]
+    return [by_dim.get(d, []) for d in range(-1, max(by_dim) + 1)]
 
 
-def boundary_matrices(k: Complex, cap: int = DEFAULT_FACE_CAP) -> list[SparseMatrix]:
+def boundary_matrices(k: Complex) -> list[SparseMatrix]:
     """Matrices d_i: C_i -> C_{i-1} for i = 0..dim, over sorted face bases.
     Index 0 of the returned list is the augmentation d_0: C_0 -> C_{-1}."""
     if k.is_void:
         raise ValueError("void complex has no chain complex")
-    layers = _faces_by_dim(k, cap)  # layers[j] holds faces of dim j-1
+    layers = _faces_by_dim(k)  # layers[j] holds faces of dim j-1
     mats = []
     for j in range(1, len(layers)):
         lower_index = {f: i for i, f in enumerate(layers[j - 1])}
@@ -194,35 +194,32 @@ def matrix_rank(m: SparseMatrix, field: FieldSpec) -> int:
 # ---------------------------------------------------------------------------
 # Betti numbers
 
-def betti(k: Complex, field: FieldSpec = GF2, cap: int = DEFAULT_FACE_CAP) -> BettiVector:
+def betti(k: Complex, field: FieldSpec = GF2) -> BettiVector:
     """Reduced Betti numbers of k.  The void complex is all zeros."""
     if k.is_void:
         return BettiVector((), field)
-    layers = _faces_by_dim(k, cap)
-    mats = boundary_matrices(k, cap)
-    ranks = [matrix_rank(m, field) for m in mats] + [0]
+    layers = _faces_by_dim(k)
+    # ranks[j]: rank of the map out of layers[j]; zero out of C_{-1} and into the top
+    ranks = [0] + [matrix_rank(m, field) for m in boundary_matrices(k)] + [0]
     out = []
     for j, faces in enumerate(layers):
-        degree = j - 1
-        rank_in = ranks[j] if j < len(mats) + 1 else 0
-        rank_out = ranks[j - 1] if j >= 1 else 0
-        b = len(faces) - rank_out - rank_in
+        b = len(faces) - ranks[j] - ranks[j + 1]
         if b:
-            out.append((degree, b))
+            out.append((j - 1, b))
     return BettiVector(tuple(out), field)
 
 
-def total_betti(k: Complex, field: FieldSpec = GF2, cap: int = DEFAULT_FACE_CAP) -> int:
-    return betti(k, field, cap).total()
+def total_betti(k: Complex, field: FieldSpec = GF2) -> int:
+    return betti(k, field).total()
 
 
-def reduced_euler(k: Complex, cap: int = DEFAULT_FACE_CAP) -> int:
+def reduced_euler(k: Complex) -> int:
     """Reduced Euler characteristic: alternating face count over the
     augmented f-vector (the empty complex gives -1)."""
     if k.is_void:
         raise ValueError("void complex has no Euler characteristic")
     chi = 0
-    for f in all_faces(k, cap):
+    for f in all_faces(k):
         # a face on c vertices has dimension c-1 and sign (-1)^(c-1)
         chi += -1 if popcount(f) % 2 == 0 else 1
     return chi

@@ -54,6 +54,7 @@ __all__ = [
     "theta_small_enclosure",
     "conjecture_base_enclosure",
     "conjecture_power",
+    "growth_bound",
     "check_bounds",
     "check_complex_bounds",
     "check_vanishing",
@@ -405,6 +406,23 @@ def beta_crown_closed(s: int) -> int:
 # ---------------------------------------------------------------------------
 # bound reports
 
+def growth_bound(metric: str, triangle_free: bool, n: int) -> tuple[str, Enclosure]:
+    """Name and enclosure of the paper's growth bound on metric for an
+    n-vertex graph: theta-based in general, gamma-based when triangle_free
+    (the bneigh bound is gamma-based either way)."""
+    if metric == "b":
+        if triangle_free:
+            return "b-le-gamma^n", gamma_power(n)
+        return "b-le-theta^n", theta_power(n)
+    if metric == "beta":
+        if triangle_free:
+            return "beta-le-(gamma+1)^n", gamma_enclosure(3).plus_int(1) ** n
+        return "beta-le-(theta+1)^n", theta_enclosure(4).plus_int(1) ** n
+    if metric == "bneigh":
+        return "bneigh-le-gamma^2n", gamma_power(2 * n)
+    raise ValueError(f"unknown metric {metric!r}")
+
+
 def _bound_entry(name: str, value: int, rhs: Enclosure) -> dict:
     return {
         "name": name,
@@ -427,30 +445,19 @@ def check_bounds(
     triangle-free and the Hochster-sum bounds when include_beta is set.
     """
     preds = graph_predicates(g)
-    b = b_graph(g, field)
-    bounds = [_bound_entry("b-le-theta^n", b, theta_power(g.n))]
-    if preds["is_triangle_free"]:
-        bounds.append(_bound_entry("b-le-gamma^n", b, gamma_power(g.n)))
-    beta_total = None
+    values = {"b": b_graph(g, field)}
     if include_beta:
-        beta_total = hochster_beta(g, field, hochster_cap).beta_total
-        bounds.append(
-            _bound_entry(
-                "beta-le-(theta+1)^n", beta_total, theta_enclosure(4).plus_int(1) ** g.n
-            )
-        )
-        if preds["is_triangle_free"]:
-            bounds.append(
-                _bound_entry(
-                    "beta-le-(gamma+1)^n",
-                    beta_total,
-                    gamma_enclosure(3).plus_int(1) ** g.n,
-                )
-            )
+        values["beta"] = hochster_beta(g, field, hochster_cap).beta_total
+    classes = (False, True) if preds["is_triangle_free"] else (False,)
+    bounds = []
+    for metric, value in values.items():
+        for triangle_free in classes:
+            name, rhs = growth_bound(metric, triangle_free, g.n)
+            bounds.append(_bound_entry(name, value, rhs))
     return {
         "n": g.n,
-        "b": b,
-        "beta": beta_total,
+        "b": values["b"],
+        "beta": values.get("beta"),
         "predicates": preds,
         "bounds": bounds,
         "all_pass": all(entry["pass"] for entry in bounds),

@@ -33,11 +33,8 @@ from .invariants import (
     b_graph,
     betti_graph,
     conjecture_power,
-    gamma_enclosure,
-    gamma_power,
+    growth_bound,
     hochster_beta,
-    theta_enclosure,
-    theta_power,
     theta_small_enclosure,
 )
 
@@ -178,21 +175,6 @@ def _metric_fn(metric: str, fieldspec: FieldSpec, hochster_cap: int):
     raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
 
 
-def _bound_for(metric: str, graph_class: str, n: int) -> tuple[str, Enclosure]:
-    trifree = graph_class in ("triangle_free", "bipartite")
-    if metric == "b":
-        if trifree:
-            return "b-le-gamma^n", gamma_power(n)
-        return "b-le-theta^n", theta_power(n)
-    if metric == "beta":
-        if trifree:
-            return "beta-le-(gamma+1)^n", gamma_enclosure(3).plus_int(1) ** n
-        return "beta-le-(theta+1)^n", theta_enclosure(4).plus_int(1) ** n
-    if metric == "bneigh":
-        return "bneigh-le-gamma^2n", gamma_power(2 * n)
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def maximize(
     metric: str,
     graph_class: str = "all",
@@ -213,6 +195,7 @@ def maximize(
         graphs = enumerate_graphs(n, graph_class)
     start = time.monotonic()
     fn = _metric_fn(metric, fieldspec, hochster_cap)
+    trifree = graph_class in ("triangle_free", "bipartite")
     report = SearchReport(metric=metric, graph_class=graph_class, n=n or 0)
     header = {"metric": metric, "class": graph_class, "field": str(fieldspec),
               "offset": resume_offset}
@@ -226,7 +209,7 @@ def maximize(
         seen_sizes.add(g.n)
         report.graphs_examined += 1
         header["offset"] = offset + 1
-        bound_name, bound = _bound_for(metric, graph_class, g.n)
+        bound_name, bound = growth_bound(metric, trifree, g.n)
         within = bound.holds_upper_bound(value)
         if value >= report.max_value or not within:
             g6 = canonical_form(g).decode()
@@ -244,7 +227,7 @@ def maximize(
         (report.n,) = seen_sizes
     report.maximizers.sort()
     if report.n:
-        report.bound_name, report.bound = _bound_for(metric, graph_class, report.n)
+        report.bound_name, report.bound = growth_bound(metric, trifree, report.n)
     report.wall_time = time.monotonic() - start
     if checkpoint_path:
         _write_checkpoint(checkpoint_path, header, report, seen_sizes)

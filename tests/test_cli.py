@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from flagbetti import cli
+from flagbetti import cli, verify
 from flagbetti.cli import main
 from flagbetti.complexes import FaceCapExceeded, read_facet_file, write_facet_file
 from flagbetti.constructions import fano_complex
@@ -90,6 +90,52 @@ def test_undecided_enclosure_is_resource_error(runner, monkeypatch, args):
     assert json.loads(res.stderr) == {"error": "enclosure cannot decide"}
 
 
+def _raise_value_error(*args, **kwargs):
+    raise ValueError("library refused")
+
+
+@pytest.mark.parametrize("owner, name, args", [
+    (verify, "run_suite", ["verify", "--suite", "lemmas"]),
+    (cli, "neighbourhood_complex", ["neigh", "--graph6", "Bw"]),
+    (cli, "alexander_dual", ["dual", "--facets", "k.facets"]),
+    (cli, "bip_graph", ["bip", "--facets", "k.facets"]),
+    (cli, "dominance_complex", ["dom", "--graph6", "Bw"]),
+    (cli.BUILDERS, "fano_complex", ["build", "fano_complex"]),
+], ids=["verify", "neigh", "dual", "bip", "dom", "build"])
+def test_library_error_is_usage_error(runner, monkeypatch, tmp_path, owner, name, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.facets").write_text(write_facet_file(fano_complex().complex_))
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, name, (_raise_value_error, ()))
+    else:
+        monkeypatch.setattr(owner, name, _raise_value_error)
+    res = invoke(runner, args)
+    assert res.exit_code == 2
+    assert res.stderr.count("\n") == 1
+    assert json.loads(res.stderr) == {"error": "library refused"}
+
+
+def test_unwritable_checkpoint_is_resource_error(runner, tmp_path):
+    ck = tmp_path / "missing" / "ck.json"
+    res = invoke(runner, ["search", "--n", "3", "--checkpoint", str(ck)])
+    assert res.exit_code == 2
+    assert res.stderr.count("\n") == 1
+    assert "No such file or directory" in json.loads(res.stderr)["error"]
+
+
+def test_help_is_not_an_error(runner):
+    res = invoke(runner, ["search", "--help"])
+    assert res.exit_code == 0
+    assert "--checkpoint" in res.stdout
+
+
+def test_click_usage_error_keeps_its_text(runner):
+    res = invoke(runner, ["beta", "--workers", "2", "--graph6", "Bw"])
+    assert res.exit_code == 2
+    assert "No such option" in res.stderr
+    assert not res.stderr.lstrip().startswith("{")
+
+
 class TestBeta:
     def test_k3(self, runner):
         res = invoke(runner, ["beta", "--graph6", "Bw"])
@@ -166,6 +212,12 @@ class TestBuild:
     def test_bad_params(self, runner):
         res = invoke(runner, ["build", "union_of_cliques", "7", "5"])
         assert res.exit_code == 2
+
+    def test_empty_size_refused(self, runner):
+        res = invoke(runner, ["build", "neighbourhood_power", "0"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "need n >= 4" in json.loads(res.stderr)["error"]
 
 
 class TestVerify:

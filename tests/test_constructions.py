@@ -55,6 +55,10 @@ class TestBuilders:
         assert missing_face_complex(7, 3).expected == comb(6, 2)
         with pytest.raises(ValueError):
             missing_face_complex(6, 2)
+        # (2d+1) | n holds for these, but no block fits: n = 0 would expect 1
+        for n, d in ((0, 2), (-7, 3)):
+            with pytest.raises(ValueError, match="need n >="):
+                missing_face_complex(n, d)
 
     def test_missing_face_class(self):
         # all minimal non-faces of the d-block have exactly d vertices
@@ -67,8 +71,9 @@ class TestBuilders:
     def test_neighbourhood_power_values(self):
         assert neighbourhood_power(4).expected == 3
         assert neighbourhood_power(8).expected == 9
-        with pytest.raises(ValueError):
-            neighbourhood_power(6)
+        for n in (6, 0, -4):  # n = 0 would expect 1, -4 a fraction
+            with pytest.raises(ValueError):
+                neighbourhood_power(n)
 
     def test_crown_union_values(self):
         assert crown_union(4, 2).expected == 4
