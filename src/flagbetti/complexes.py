@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, bits, complement, popcount
+from .graphs import Graph, bits, popcount
 
 __all__ = [
     "Complex",
@@ -150,7 +150,7 @@ def independence_complex(g: Graph) -> Complex:
     Bron-Kerbosch on the complement's cliques."""
     if g.n == 0:
         return Complex(0, (0,))
-    h = complement(g)
+    non = [g.vertex_mask ^ nb ^ (1 << v) for v, nb in enumerate(g.adj)]  # the complement's rows
     facets: list[int] = []
 
     def expand(r: int, p: int, x: int):
@@ -158,9 +158,9 @@ def independence_complex(g: Graph) -> Complex:
             facets.append(r)
             return
         pivot_pool = p | x
-        pivot = max(bits(pivot_pool), key=lambda u: popcount(p & h.adj[u]))
-        for v in bits(p & ~h.adj[pivot]):
-            expand(r | 1 << v, p & h.adj[v], x & h.adj[v])
+        pivot = max(bits(pivot_pool), key=lambda u: popcount(p & non[u]))
+        for v in bits(p & ~non[pivot]):
+            expand(r | 1 << v, p & non[v], x & non[v])
             p &= ~(1 << v)
             x |= 1 << v
 

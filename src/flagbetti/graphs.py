@@ -2,7 +2,8 @@
 
 Vertex sets and neighbourhoods are plain Python ints used as bitmasks,
 which keeps subgraph and independence-set operations fast at desk scale.
-All operations are pure; Graph values are immutable.
+All operations are pure; Graph values are immutable.  `canonical_form`
+names an isomorphism class by the graph6 word (a str) of one relabelling.
 """
 
 from __future__ import annotations
@@ -145,23 +146,24 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def _pack_graph6(cols: list[int]) -> str:
+    """graph6 word of the graph whose column j (neighbours i < j, a bitmask) is cols[j]."""
+    n = len(cols)
+    if n > 62:
+        raise Graph6Error(f"graph6 supports at most 62 vertices, got {n}")
+    acc = 0
+    for j, col in enumerate(cols):
+        for i in range(j):
+            acc = acc << 1 | (col >> i & 1)
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    acc <<= pad
+    return chr(n + 63) + "".join(chr((acc >> s & 63) + 63) for s in range(nbits + pad - 6, -1, -6))
+
+
 def encode_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 word (n <= 62)."""
-    if g.n > 62:
-        raise Graph6Error(f"graph6 supports at most 62 vertices, got {g.n}")
-    out = [chr(g.n + 63)]
-    acc = 0
-    nacc = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = acc << 1 | (g.adj[i] >> j & 1)
-            nacc += 1
-            if nacc == 6:
-                out.append(chr(acc + 63))
-                acc = nacc = 0
-    if nacc:
-        out.append(chr((acc << (6 - nacc)) + 63))
-    return "".join(out)
+    return _pack_graph6([nb & ((1 << j) - 1) for j, nb in enumerate(g.adj)])
 
 
 # ---------------------------------------------------------------------------
@@ -327,24 +329,22 @@ def _refine_colors(g: Graph) -> list[int]:
 
 
 def _min_code(g: Graph, colors: list[int]) -> list[int]:
-    """Vertex order realizing the lexicographically minimal column-code
-    sequence over all colour-respecting orderings.  Code entry k is the
-    adjacency of the vertex placed at position k to the already-placed
-    vertices, as a bitmask."""
+    """Lexicographically minimal column-code sequence over all
+    colour-respecting vertex orderings.  Code entry k is the adjacency of
+    the vertex placed at position k to the already-placed vertices, as a
+    bitmask: column k of the relabelled graph's graph6 upper triangle."""
     n = g.n
     slot_color = sorted(colors)
     placed = [0] * n
     order: list[int] = []
     best_codes: list[int] = []
-    best_order: list[int] = []
 
     def dfs(k: int, used: int):
-        nonlocal best_codes, best_order
+        nonlocal best_codes
         if k == n:
             # pruning guarantees we only reach leaves that are <= best
             if not best_codes or placed[:n] < best_codes:
                 best_codes = placed[:n]
-                best_order = order[:]
             return
         cands = []
         for v in range(n):
@@ -377,25 +377,17 @@ def _min_code(g: Graph, colors: list[int]) -> list[int]:
             order.pop()
 
     dfs(0, 0)
-    return best_order
+    return best_codes
+
+
+def canonical_form(g: Graph) -> str:
+    """graph6 word, as a str, of g canonically relabelled; equal for two
+    graphs iff they are isomorphic (n <= CANONICAL_CAP)."""
+    if g.n > CANONICAL_CAP:
+        raise ValueError(f"canonical labelling refused for n={g.n} > cap={CANONICAL_CAP}")
+    return _pack_graph6(_min_code(g, _refine_colors(g)))
 
 
 def canonical_graph(g: Graph) -> Graph:
     """Canonically relabelled copy of g; equal for isomorphic inputs."""
-    if g.n > CANONICAL_CAP:
-        raise ValueError(f"canonical labelling refused for n={g.n} > cap={CANONICAL_CAP}")
-    if g.n <= 1:
-        return g
-    colors = _refine_colors(g)
-    order = _min_code(g, colors)
-    pos = {v: i for i, v in enumerate(order)}
-    adj = [0] * g.n
-    for v in order:
-        for u in bits(g.adj[v]):
-            adj[pos[v]] |= 1 << pos[u]
-    return Graph(g.n, tuple(adj))
-
-
-def canonical_form(g: Graph) -> bytes:
-    """Byte string equal for two graphs iff they are isomorphic (n <= CANONICAL_CAP)."""
-    return encode_graph6(canonical_graph(g)).encode("ascii")
+    return parse_graph6(canonical_form(g))

@@ -78,7 +78,7 @@ def _classes(n: int, trifree: bool) -> tuple[Graph, ...]:
     keys = {
         canonical_form(g) for parent in _classes(n - 1, trifree) for g in _children(parent, trifree)
     }
-    return tuple(parse_graph6(k.decode()) for k in sorted(keys))
+    return tuple(parse_graph6(k) for k in sorted(keys))
 
 
 def enumerate_graphs(n: int, cls: str = "all") -> list[Graph]:
@@ -86,6 +86,8 @@ def enumerate_graphs(n: int, cls: str = "all") -> list[Graph]:
     order (sorted by canonical graph6)."""
     if cls not in GENERATOR_CAPS:
         raise ValueError(f"unknown class {cls!r}; choose from {sorted(GENERATOR_CAPS)}")
+    if n < 0:
+        raise ValueError(f"need n >= 0 vertices, got {n}")
     cap = GENERATOR_CAPS[cls]
     if n > cap:
         raise ValueError(
@@ -185,10 +187,13 @@ def maximize(
     checkpoint_path: str | None = None,
     resume_offset: int = 0,
 ) -> SearchReport:
-    """Evaluate metric on every graph and report the exact maximum, all
-    maximizers (canonical graph6), and the applicable theorem bound.  With
-    resume_offset and checkpoint_path, skip that many graphs and carry on
-    from the state saved there by the same search."""
+    """Evaluate metric on every graph of graph_class (a supplied one outside
+    it is refused) and report the exact maximum, all maximizers (canonical
+    graph6), and the applicable theorem bound.  With resume_offset and
+    checkpoint_path, skip that many graphs and resume from their checkpoint."""
+    if graph_class not in GENERATOR_CAPS:
+        raise ValueError(f"unknown class {graph_class!r}; choose from {sorted(GENERATOR_CAPS)}")
+    check_class = graphs is not None and graph_class != "all"
     if graphs is None:
         if n is None:
             raise ValueError("give either n (internal generator) or a graph iterable")
@@ -205,6 +210,8 @@ def maximize(
     for offset, g in enumerate(graphs):
         if offset < resume_offset:
             continue
+        if check_class and not graph_predicates(g)[f"is_{graph_class}"]:
+            raise ValueError(f"graph {encode_graph6(g)} is not in class {graph_class!r}")
         value = fn(g)
         seen_sizes.add(g.n)
         report.graphs_examined += 1
@@ -212,7 +219,7 @@ def maximize(
         bound_name, bound = growth_bound(metric, trifree, g.n)
         within = bound.holds_upper_bound(value)
         if value >= report.max_value or not within:
-            g6 = canonical_form(g).decode()
+            g6 = canonical_form(g)
             if value > report.max_value:
                 report.max_value = value
                 report.maximizers = [g6]

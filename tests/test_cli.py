@@ -269,6 +269,20 @@ class TestSearch:
         assert res.exit_code == 0
         assert res.output.split("\t")[0] == "4"
 
+    def test_negative_size_is_usage_error(self, runner):
+        res = invoke(runner, ["search", "--n", "-1"])
+        assert res.exit_code == 2
+        assert res.stderr.count("\n") == 1
+        assert json.loads(res.stderr) == {"error": "need n >= 0 vertices, got -1"}
+
+    @pytest.mark.parametrize("cls, name", [("trifree", "triangle_free"), ("bip", "bipartite")])
+    def test_graph_outside_class_is_usage_error(self, runner, cls, name):
+        res = invoke(runner, ["search", "--class", cls, "--stdin"], input="Bo\nD~{\n")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
+        assert json.loads(res.stderr) == {"error": f"graph D~{{ is not in class '{name}'"}
+
     def test_needs_one_source(self, runner):
         res = invoke(runner, ["search", "--metric", "b"])
         assert res.exit_code == 2

@@ -186,6 +186,16 @@ class TestCanonical:
         with pytest.raises(ValueError):
             canonical_form(empty_graph(11))
 
+    def test_form_is_a_graph6_str(self, rng):
+        assert canonical_form(empty_graph(0)) == "?"
+        assert canonical_form(empty_graph(1)) == "@"
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(0, 8))
+            word = canonical_form(g)
+            assert isinstance(word, str)
+            assert canonical_graph(g) == parse_graph6(word)
+            assert encode_graph6(canonical_graph(g)) == word
+
     def test_union_join_associative_up_to_iso(self, rng):
         for _ in range(10):
             a = random_graph(rng, rng.randint(1, 3))

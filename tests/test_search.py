@@ -1,8 +1,11 @@
+import hashlib
 import json
+import re
 from itertools import combinations
 
 import pytest
 
+from flagbetti import search
 from flagbetti.graphs import Graph6Error, complete, empty_graph, encode_graph6, parse_graph6
 from flagbetti.homology import GF3
 from flagbetti.invariants import theta_power
@@ -10,6 +13,7 @@ from flagbetti.search import (
     GENERATOR_CAPS,
     conjecture_checks,
     enumerate_graphs,
+    flag_vanishing_sweep,
     maximize,
     moon_moser_check,
     stream_graph6,
@@ -19,6 +23,20 @@ from oracles import all_labelled_graphs, are_isomorphic_oracle
 # number of graphs on n unlabelled vertices, n = 0..7
 GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]
 TRIFREE_COUNTS = [1, 1, 2, 3, 7, 14, 38, 107]
+
+# sha256 of the graph6 words of enumerate_graphs(n, cls) joined by newlines,
+# first 16 hex digits, for n = 0, 1, ...
+ENUMERATION_HASHES = {
+    "all": "8a8de823d5ed3e12 c3641f8544d7c02f 66f7cc5c004391e3 f78b1e961185bb63 "
+           "cc50ad5be69dff28 38252e9b87ec61a6 2c9724b72b46abfe 7a8932e01cbaf20d",
+    "triangle_free": "8a8de823d5ed3e12 c3641f8544d7c02f 66f7cc5c004391e3 7fb81607637af873 "
+                     "7c580e1385be1216 391b52905dc4da0d 8cd82eee1f47cf73 f09824d4cad35225 "
+                     "aaba44a2a1560e00",
+    "bipartite": "8a8de823d5ed3e12 c3641f8544d7c02f 66f7cc5c004391e3 7fb81607637af873 "
+                 "7c580e1385be1216 57c9b24cf0188288 e42b6b38f601544e fb947b5ba7c21cea",
+    "connected": "8a8de823d5ed3e12 c3641f8544d7c02f ada8d598e51a0bf0 2c1256ffd0617e16 "
+                 "385eb414892a1ce8 b5a909588a35cf30 7141e34866633118 12ef460a0a493012",
+}
 
 
 class TestEnumeration:
@@ -42,6 +60,19 @@ class TestEnumeration:
                 enumerate_graphs(cap + 1, cls)
         with pytest.raises(ValueError, match="unknown class"):
             enumerate_graphs(3, "planar")
+
+    def test_negative_size_refused(self):
+        for call in (enumerate_graphs, lambda n: maximize("b", n=n), flag_vanishing_sweep,
+                     moon_moser_check):
+            with pytest.raises(ValueError, match="n >= 0"):
+                call(-1)
+
+    @pytest.mark.parametrize("cls", sorted(ENUMERATION_HASHES))
+    def test_pinned_words(self, cls):
+        expected = ENUMERATION_HASHES[cls].split()
+        for n, digest in enumerate(expected):
+            words = "\n".join(encode_graph6(g) for g in enumerate_graphs(n, cls))
+            assert hashlib.sha256(words.encode()).hexdigest()[:16] == digest, (cls, n)
 
     def test_deterministic_order(self):
         a = [encode_graph6(g) for g in enumerate_graphs(6, "all")]
@@ -201,6 +232,27 @@ class TestMaximize:
         assert d["n"] == 4 and d["max_value"] == 3
         line = rep.to_tsv_line()
         assert line.split("\t")[0] == "4"
+
+    @pytest.mark.parametrize("cls, outside", [
+        ("triangle_free", complete(5)),
+        ("bipartite", complete(5)),
+        ("connected", empty_graph(2)),
+    ], ids=["triangle_free", "bipartite", "connected"])
+    def test_refuses_graph_outside_class(self, cls, outside):
+        word = encode_graph6(outside)
+        with pytest.raises(ValueError, match=re.escape(f"graph {word} is not in class '{cls}'")):
+            maximize("b", cls, graphs=[complete(1), outside])
+
+    def test_unknown_class(self):
+        with pytest.raises(ValueError, match="unknown class"):
+            maximize("b", "planar", graphs=[complete(1)])
+
+    def test_class_all_checks_nothing(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("class 'all' needs no predicate")
+
+        monkeypatch.setattr(search, "graph_predicates", refuse)
+        assert maximize("b", "all", graphs=[complete(5)]).max_value == 4
 
     def test_bad_metric(self):
         with pytest.raises(ValueError, match="unknown metric"):
