@@ -4,6 +4,13 @@ Vertex sets and neighbourhoods are plain Python ints used as bitmasks,
 which keeps subgraph and independence-set operations fast at desk scale.
 All operations are pure; Graph values are immutable.  `canonical_form`
 names an isomorphism class by the graph6 word (a str) of one relabelling.
+
+Input is validated where it enters: `Graph(...)` checks range, loops and
+symmetry, and `from_edges`, `parse_graph6` and the generators and
+combinators below build through it.  Only `induced` and the search's
+vertex extension (`search._children`), whose adjacency is valid by
+construction from a valid graph, build through `_trusted_graph`, which
+skips those checks.
 """
 
 from __future__ import annotations
@@ -87,6 +94,15 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()})"
+
+
+def _trusted_graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """Graph from adjacency already known to be valid (n entries, in range,
+    loop-free, symmetric), built without `Graph.__post_init__`'s checks."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -237,7 +253,7 @@ def induced(g: Graph, w) -> Graph:
     for v in verts:
         for u in bits(g.adj[v] & mask):
             adj[pos[v]] |= 1 << pos[u]
-    return Graph(len(verts), tuple(adj))
+    return _trusted_graph(len(verts), tuple(adj))
 
 
 def complement(g: Graph) -> Graph:

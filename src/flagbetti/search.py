@@ -1,9 +1,16 @@
 """Exhaustive and streamed extremal search over small graphs.
 
 The internal generator extends each (n-1)-vertex class representative
-by one vertex in every way (`_children`) and keeps one canonical form per
-class; the n = 9 vanishing sweep streams the same children undeduplicated.
-Larger inputs arrive as graph6 streams from external generators.
+by one vertex in every way (`_children`).  It canonically labels only the
+children whose new vertex has the greatest degree, and keeps one
+canonical form per class.  That filter is exact: every n-vertex graph G
+has a vertex w of greatest degree, G - w is isomorphic to some
+(n-1)-vertex representative P, so G appears among P's children with the
+new vertex playing w, and degree is an isomorphism invariant.  (This is
+the canonical-deletion test of McKay's canonical augmentation, J.
+Algorithms 1998, on the degree invariant alone.)  The n = 9 vanishing
+sweep streams every child, unfiltered and undeduplicated.  Larger inputs
+arrive as graph6 streams from external generators.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .complexes import independence_complex, neighbourhood_complex
 from .graphs import (
     Graph,
     Graph6Error,
+    _trusted_graph,
     bits,
     canonical_form,
     empty_graph,
@@ -68,15 +76,22 @@ def _children(parent: Graph, trifree: bool) -> Iterator[Graph]:
         if trifree and any(parent.adj[v] & nb for v in bits(nb)):
             continue
         adj = tuple(a | ((nb >> v & 1) << parent.n) for v, a in enumerate(parent.adj))
-        yield Graph(n, adj + (nb,))
+        yield _trusted_graph(n, adj + (nb,))
 
 
 @lru_cache(maxsize=None)
 def _classes(n: int, trifree: bool) -> tuple[Graph, ...]:
     if n == 0:
         return (empty_graph(0),)
+    # Label a child only when its new vertex (the last) has the greatest
+    # degree: every class has such a child, since deleting a vertex of
+    # greatest degree leaves a graph isomorphic to some parent (see the
+    # module docstring).  The others are duplicates and need no label.
     keys = {
-        canonical_form(g) for parent in _classes(n - 1, trifree) for g in _children(parent, trifree)
+        canonical_form(g)
+        for parent in _classes(n - 1, trifree)
+        for g in _children(parent, trifree)
+        if g.adj[-1].bit_count() == max(map(int.bit_count, g.adj))
     }
     return tuple(parse_graph6(k) for k in sorted(keys))
 
@@ -193,12 +208,12 @@ def maximize(
     checkpoint_path, skip that many graphs and resume from their checkpoint."""
     if graph_class not in GENERATOR_CAPS:
         raise ValueError(f"unknown class {graph_class!r}; choose from {sorted(GENERATOR_CAPS)}")
+    start = time.monotonic()
     check_class = graphs is not None and graph_class != "all"
     if graphs is None:
         if n is None:
             raise ValueError("give either n (internal generator) or a graph iterable")
         graphs = enumerate_graphs(n, graph_class)
-    start = time.monotonic()
     fn = _metric_fn(metric, fieldspec, hochster_cap)
     trifree = graph_class in ("triangle_free", "bipartite")
     report = SearchReport(metric=metric, graph_class=graph_class, n=n or 0)
@@ -333,26 +348,18 @@ def conjecture_checks(
     }
 
 
-def _has_independent_set(g: Graph, k: int) -> bool:
-    """True when g contains k pairwise non-adjacent vertices."""
-    if k <= 0:
-        return True
-    if k > g.n:
-        return False
-
-    def grow(chosen: int, pool: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while pool:
-            v = (pool & -pool).bit_length() - 1
-            pool &= pool - 1
-            if bin(pool).count("1") + 1 < need:
-                return False
-            if grow(chosen | 1 << v, pool & ~g.adj[v], need - 1):
-                return True
-        return False
-
-    return grow(0, g.vertex_mask, k)
+def _alpha_table(adj: tuple[int, ...]) -> list[int]:
+    """Independence number of every induced subgraph: entry S (a vertex
+    bitmask) is alpha of the graph induced on S.  With v the lowest vertex
+    of S, alpha(S) = max(alpha(S - v), 1 + alpha(S - N[v])); both sets are
+    below S, so one ascending pass fills the table."""
+    closed = {1 << v: a | 1 << v for v, a in enumerate(adj)}
+    alpha = [0] * (1 << len(adj))
+    for s in range(1, len(alpha)):
+        low = s & -s
+        keep, take = alpha[s ^ low], alpha[s & ~closed[low]] + 1
+        alpha[s] = keep if keep > take else take
+    return alpha
 
 
 def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
@@ -363,7 +370,10 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     graphs whose independence number clears the threshold are computed.
     For n one past the generator cap the candidates are streamed as
     one-vertex extensions of the (n-1)-vertex representatives; duplicates
-    across parents are harmless for a universally-quantified check.
+    across parents are harmless for a universally-quantified check.  Each
+    parent's `_alpha_table` gives its children's independence numbers:
+    a child whose new vertex has neighbourhood nb has
+    alpha = max(alpha[full], 1 + alpha[full & ~nb]).
     """
     from fractions import Fraction
 
@@ -372,23 +382,19 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     min_alpha = min_degree + 1
     cap = GENERATOR_CAPS["all"]
     if n <= cap:
-        candidates: Iterable[Graph] = enumerate_graphs(n, "all")
-    elif n == cap + 1:
-        candidates = (
-            child
-            for parent in _classes(cap, False)
-            # a child's independence number is at most the parent's plus one
-            if _has_independent_set(parent, min_alpha - 1)
-            for child in _children(parent, False)
+        candidates: Iterable[tuple[Graph, int]] = (
+            (g, _alpha_table(g.adj)[-1]) for g in enumerate_graphs(n, "all")
         )
+    elif n == cap + 1:
+        candidates = _extensions_with_alpha(_classes(cap, False), min_alpha)
     else:
         raise ValueError(f"vanishing sweep supported only for n <= {cap + 1}")
     examined = 0
     computed = 0
     violations = []
-    for g in candidates:
+    for g, alpha in candidates:
         examined += 1
-        if not _has_independent_set(g, min_alpha):
+        if alpha < min_alpha:
             continue
         computed += 1
         bv = betti_graph(g, fieldspec)
@@ -403,6 +409,19 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
         "violations": violations,
         "pass": not violations,
     }
+
+
+def _extensions_with_alpha(parents, min_alpha: int) -> Iterator[tuple[Graph, int]]:
+    """Every child of every parent with its independence number, skipping
+    parents whose children cannot reach min_alpha (a child's independence
+    number is at most its parent's plus one)."""
+    for parent in parents:
+        alpha = _alpha_table(parent.adj)
+        full = parent.vertex_mask
+        if alpha[full] + 1 < min_alpha:
+            continue
+        for child in _children(parent, False):
+            yield child, max(alpha[full], 1 + alpha[full & ~child.adj[-1]])
 
 
 def moon_moser_check(n: int) -> dict:

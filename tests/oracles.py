@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from flagbetti.complexes import Complex
-from flagbetti.graphs import Graph
+from flagbetti.graphs import Graph, canonical_form, empty_graph, parse_graph6
 
 
 def graph6_encode_oracle(g: Graph) -> str:
@@ -240,6 +240,29 @@ def all_labelled_graphs(n: int) -> tuple[Graph, ...]:
                 adj[v] |= 1 << u
         out.append(Graph(n, tuple(adj)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def classes_oracle(n: int, trifree: bool) -> tuple[Graph, ...]:
+    """One representative per isomorphism class on n vertices (triangle-free
+    ones with trifree), sorted by canonical graph6: extend every (n-1)-vertex
+    representative by a new vertex in every way, label every child with the
+    library's canonical_form and deduplicate.  Children are built through
+    the validating Graph constructor and none is filtered before labelling."""
+    if n == 0:
+        return (empty_graph(0),)
+    keys = set()
+    for parent in classes_oracle(n - 1, trifree):
+        for nb in range(1 << parent.n):
+            adj = [a | (nb >> v & 1) << parent.n for v, a in enumerate(parent.adj)]
+            child = Graph(n, tuple(adj) + (nb,))
+            if trifree and any(
+                child.adj[u] >> v & 1 and child.adj[u] >> w & 1 and child.adj[v] >> w & 1
+                for u, v, w in combinations(range(n), 3)
+            ):
+                continue
+            keys.add(canonical_form(child))
+    return tuple(parse_graph6(k) for k in sorted(keys))
 
 
 def bisect_root_oracle(poly, lo=Fraction(1), hi=Fraction(2), steps: int = 120):

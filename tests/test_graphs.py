@@ -126,6 +126,15 @@ class TestSubgraphs:
         with pytest.raises(ValueError):
             induced(complete(3), [0, 5])
 
+    def test_induced_passes_checked_constructor(self):
+        # induced builds without Graph's validation, so its output must be
+        # a graph that the validating constructor accepts unchanged
+        rng = random.Random(11)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 12), rng.random())
+            h = induced(g, rng.getrandbits(g.n))
+            assert Graph(h.n, h.adj) == h
+
     def test_delete_closed_neighborhood(self):
         assert delete_closed_neighborhood(complete(5), 2).n == 0
         two_k2 = copies(2, complete(2))

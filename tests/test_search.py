@@ -1,12 +1,14 @@
 import hashlib
 import json
+import random
 import re
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
 from flagbetti import search
-from flagbetti.graphs import Graph6Error, complete, empty_graph, encode_graph6, parse_graph6
+from flagbetti.graphs import Graph, Graph6Error, complete, empty_graph, encode_graph6, parse_graph6
 from flagbetti.homology import GF3
 from flagbetti.invariants import theta_power
 from flagbetti.search import (
@@ -18,7 +20,13 @@ from flagbetti.search import (
     moon_moser_check,
     stream_graph6,
 )
-from oracles import all_labelled_graphs, are_isomorphic_oracle
+from conftest import random_graph
+from oracles import (
+    all_labelled_graphs,
+    are_isomorphic_oracle,
+    classes_oracle,
+    independent_sets_oracle,
+)
 
 # number of graphs on n unlabelled vertices, n = 0..7
 GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]
@@ -85,6 +93,24 @@ class TestEnumeration:
 
         for g in enumerate_graphs(5, "all"):
             assert g == canonical_graph(g)
+
+    @pytest.mark.parametrize("n, trifree", [(n, False) for n in range(8)]
+                             + [(n, True) for n in range(9)])
+    def test_degree_filter_matches_unfiltered_oracle(self, n, trifree):
+        # _classes labels only children whose new vertex has the greatest
+        # degree; the oracle labels every child
+        assert search._classes(n, trifree) == classes_oracle(n, trifree)
+
+    @pytest.mark.parametrize("trifree", [False, True])
+    def test_children_pass_checked_constructor(self, trifree):
+        # _children builds without Graph's validation, so each child must be
+        # a graph that the validating constructor accepts unchanged
+        rng = random.Random(5)
+        for _ in range(40):
+            parent = random_graph(rng, rng.randint(0, 7), rng.random() / (3 if trifree else 1))
+            for child in search._children(parent, trifree):
+                assert Graph(child.n, child.adj) == child
+                assert tuple(a & parent.vertex_mask for a in child.adj[:-1]) == parent.adj
 
     @pytest.mark.parametrize("cls", ["all", "triangle_free"])
     @pytest.mark.parametrize("n", range(6))
@@ -254,6 +280,19 @@ class TestMaximize:
         monkeypatch.setattr(search, "graph_predicates", refuse)
         assert maximize("b", "all", graphs=[complete(5)]).max_value == 4
 
+    def test_wall_time_counts_enumeration(self, monkeypatch):
+        clock = [100.0]
+
+        def slow_enumeration(n, cls):
+            clock[0] += 7.0
+            return [complete(n)]
+
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(search, "enumerate_graphs", slow_enumeration)
+        rep = maximize("b", "all", n=3)
+        assert rep.graphs_examined == 1
+        assert rep.wall_time == 7.0
+
     def test_bad_metric(self):
         with pytest.raises(ValueError, match="unknown metric"):
             maximize("diameter", "all", n=3)
@@ -277,6 +316,26 @@ class TestConjectureChecks:
         assert entry["within_conjectured_bound"]
         assert entry["within_proven_bound"]
         assert not rep["proven_bound_counterexamples"]
+
+
+class TestVanishingSweep:
+    def test_alpha_table_against_brute_force(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(0, 7), rng.random())
+            alpha = search._alpha_table(g.adj)
+            best = [0] * (1 << g.n)
+            for s in independent_sets_oracle(g):
+                for mask in range(1 << g.n):
+                    if s & mask == s:
+                        best[mask] = max(best[mask], bin(s).count("1"))
+            assert alpha == best
+
+    @pytest.mark.parametrize("n, examined, computed", [(6, 156, 36), (7, 1044, 359)])
+    def test_counts(self, n, examined, computed):
+        rep = flag_vanishing_sweep(n)
+        assert (rep["graphs_examined"], rep["homology_computed"]) == (examined, computed)
+        assert rep["pass"]
 
 
 class TestMoonMoser:
