@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, bits, popcount
+from .graphs import Graph, bits
 
 __all__ = [
     "Complex",
@@ -53,7 +53,7 @@ class FaceCapExceeded(RuntimeError):
 
 def _prune_to_maximal(masks) -> tuple[int, ...]:
     """Inclusion-maximal members, sorted for a deterministic representation."""
-    uniq = sorted(set(masks), key=lambda m: (popcount(m), m), reverse=True)
+    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
     out: list[int] = []
     for m in uniq:
         if not any(m & f == m for f in out):
@@ -103,7 +103,7 @@ class Complex:
         """Dimension; -1 for the empty complex. Undefined (error) for void."""
         if self.is_void:
             raise ValueError("void complex has no dimension")
-        return max(popcount(f) for f in self.facets) - 1
+        return max(f.bit_count() for f in self.facets) - 1
 
     def has_face(self, mask: int) -> bool:
         return any(mask & f == mask for f in self.facets)
@@ -158,7 +158,7 @@ def independence_complex(g: Graph) -> Complex:
             facets.append(r)
             return
         pivot_pool = p | x
-        pivot = max(bits(pivot_pool), key=lambda u: popcount(p & non[u]))
+        pivot = max(bits(pivot_pool), key=lambda u: (p & non[u]).bit_count())
         for v in bits(p & ~non[pivot]):
             expand(r | 1 << v, p & non[v], x & non[v])
             p &= ~(1 << v)
@@ -190,8 +190,8 @@ def dominance_complex(g: Graph) -> Complex:
     full = g.vertex_mask
     closed = [g.adj[v] | 1 << v for v in range(g.n)]
     minimal: list[int] = []
-    # subsets in increasing popcount so minimality filtering is one pass
-    subsets = sorted(range(1 << g.n), key=popcount)
+    # subsets in increasing size so minimality filtering is one pass
+    subsets = sorted(range(1 << g.n), key=int.bit_count)
     for s in subsets:
         dominated = 0
         for v in bits(s):
@@ -213,7 +213,7 @@ def minimal_nonfaces(k: Complex) -> tuple[int, ...]:
     if k.is_void:
         raise ValueError("void complex has no non-faces")
     full = (1 << k.n) - 1
-    holes = sorted({full ^ f for f in k.facets}, key=popcount)
+    holes = sorted({full ^ f for f in k.facets}, key=int.bit_count)
     if not holes or holes[0] == 0:
         # some facet is the full vertex set: no non-faces
         return ()
@@ -232,7 +232,7 @@ def minimal_nonfaces(k: Complex) -> tuple[int, ...]:
 
     branch(0, full, holes)
     # branching can emit non-minimal transversals; keep the minimal ones
-    found.sort(key=popcount)
+    found.sort(key=int.bit_count)
     minimal: list[int] = []
     for t in found:
         if not any(m & t == m for m in minimal):
@@ -320,8 +320,9 @@ def squash(k: Complex) -> Complex:
 # ---------------------------------------------------------------------------
 # face enumeration and classification
 
-def all_faces(k: Complex, cap: int = DEFAULT_FACE_CAP) -> list[int]:
-    """Every face (including the empty face 0) by downward closure."""
+def all_faces(k: Complex) -> list[int]:
+    """Every face (including the empty face 0) by downward closure, sorted
+    by (size, mask).  More than DEFAULT_FACE_CAP faces raise FaceCapExceeded."""
     if k.is_void:
         raise ValueError("void complex has no faces")
     seen: set[int] = set()
@@ -332,13 +333,13 @@ def all_faces(k: Complex, cap: int = DEFAULT_FACE_CAP) -> list[int]:
             if f in seen:
                 continue
             seen.add(f)
-            if len(seen) > cap:
-                raise FaceCapExceeded(cap)
+            if len(seen) > DEFAULT_FACE_CAP:
+                raise FaceCapExceeded(DEFAULT_FACE_CAP)
             for v in bits(f):
                 sub = f & ~(1 << v)
                 if sub not in seen:
                     stack.append(sub)
-    return sorted(seen, key=lambda m: (popcount(m), m))
+    return sorted(sorted(seen), key=int.bit_count)
 
 
 def face_census(k: Complex) -> dict:
@@ -346,7 +347,7 @@ def face_census(k: Complex) -> dict:
     faces = all_faces(k)
     fvec: dict[int, int] = {}
     for f in faces:
-        fvec[popcount(f)] = fvec.get(popcount(f), 0) + 1
+        fvec[f.bit_count()] = fvec.get(f.bit_count(), 0) + 1
     return {"f_vector": fvec, "total": len(faces)}
 
 
@@ -356,8 +357,8 @@ def class_membership(k: Complex) -> dict:
     if k.is_void:
         raise ValueError("void complex has no class data")
     nonfaces = minimal_nonfaces(k)
-    d_f = max((popcount(t) for t in nonfaces), default=0)
-    d_m = k.n - min(popcount(f) for f in k.facets)
+    d_f = max((t.bit_count() for t in nonfaces), default=0)
+    d_m = k.n - min(f.bit_count() for f in k.facets)
     return {
         "is_flag": d_f <= 2,
         "min_nonface_max_size": d_f,

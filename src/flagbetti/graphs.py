@@ -8,7 +8,7 @@ names an isomorphism class by the graph6 word (a str) of one relabelling.
 Input is validated where it enters: `Graph(...)` checks range, loops and
 symmetry, and `from_edges`, `parse_graph6` and the generators and
 combinators below build through it.  Only `induced` and the search's
-vertex extension (`search._children`), whose adjacency is valid by
+vertex extension (`search._child`), whose adjacency is valid by
 construction from a valid graph, build through `_trusted_graph`, which
 skips those checks.
 """
@@ -37,7 +37,6 @@ __all__ = [
     "canonical_form",
     "canonical_graph",
     "bits",
-    "popcount",
 ]
 
 CANONICAL_CAP = 10
@@ -49,10 +48,6 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,7 @@ class Graph:
         return (1 << self.n) - 1
 
     def degree(self, v: int) -> int:
-        return popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -90,7 +85,7 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
 
     def edge_count(self) -> int:
-        return sum(popcount(nb) for nb in self.adj) // 2
+        return sum(nb.bit_count() for nb in self.adj) // 2
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()})"

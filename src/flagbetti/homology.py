@@ -4,19 +4,27 @@ The chain complex is augmented: the empty face spans C_{-1}, so the empty
 complex has one unit of homology in degree -1.  Betti numbers come from
 b_i = dim C_i - rank d_i - rank d_{i+1}.
 
-Two rank routines, both column reductions over sparse columns: GF(2)
-keeps each column as an int bitset and reduces by XOR (the default field);
-odd GF(p) and the exact rationals share one routine whose columns are
-{row: coefficient} dicts, with ints mod p or Fractions as coefficients.
+A boundary matrix is a list of ints, one per column: bit r of a column is
+set when row r (a face of the lower layer) lies in the column's face.
+Signs are implied, not stored.  Face f has entry (-1)^pos at f - v, where v
+is f's vertex at ascending position pos; layers are sorted, so dropping a
+larger vertex gives a smaller row, and the signs read +, -, +, ... from the
+column's highest row down.
+
+Two rank routines, both column reductions: GF(2) reduces the columns as
+they are, by XOR (the default field); odd GF(p) and the exact rationals
+share one routine that expands each column into a {row: coefficient}
+dict by the sign rule, with ints mod p or Fractions as coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .complexes import Complex, all_faces
-from .graphs import bits, popcount
+from .graphs import bits
 
 __all__ = [
     "FieldSpec",
@@ -99,74 +107,56 @@ class BettiVector:
 
 
 # ---------------------------------------------------------------------------
-# boundary matrices in a field-agnostic sparse form
-
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Column-major signed incidence matrix; entries are (row, +-1)."""
-
-    rows: int
-    cols: int
-    columns: tuple[tuple[tuple[int, int], ...], ...]
-
+# boundary matrices as bitmask columns
 
 def _faces_by_dim(k: Complex) -> list[list[int]]:
-    """Faces grouped by dimension -1..dim; all_faces already sorts them by
-    (size, mask), so each layer comes out sorted."""
-    by_dim: dict[int, list[int]] = {}
-    for f in all_faces(k):
-        by_dim.setdefault(popcount(f) - 1, []).append(f)
-    return [by_dim.get(d, []) for d in range(-1, max(by_dim) + 1)]
+    """Faces grouped by dimension -1..dim; all_faces sorts them by
+    (size, mask), so each layer comes out sorted and none is empty."""
+    return [list(layer) for _, layer in groupby(all_faces(k), int.bit_count)]
 
 
-def boundary_matrices(k: Complex) -> list[SparseMatrix]:
-    """Matrices d_i: C_i -> C_{i-1} for i = 0..dim, over sorted face bases.
+def boundary_matrices(k: Complex) -> list[list[int]]:
+    """Matrices d_i: C_i -> C_{i-1} for i = 0..dim over sorted face bases,
+    as bitmask columns with implied signs (see the module docstring).
     Index 0 of the returned list is the augmentation d_0: C_0 -> C_{-1}."""
     if k.is_void:
         raise ValueError("void complex has no chain complex")
-    layers = _faces_by_dim(k)  # layers[j] holds faces of dim j-1
+    layers = _faces_by_dim(k)
     mats = []
-    for j in range(1, len(layers)):
-        lower_index = {f: i for i, f in enumerate(layers[j - 1])}
-        cols = []
-        for f in layers[j]:
-            entries = []
-            for pos, v in enumerate(bits(f)):
-                entries.append((lower_index[f & ~(1 << v)], -1 if pos & 1 else 1))
-            cols.append(tuple(entries))
-        mats.append(SparseMatrix(len(layers[j - 1]), len(layers[j]), tuple(cols)))
+    for lower, upper in zip(layers, layers[1:]):
+        row_bit = {f: 1 << i for i, f in enumerate(lower)}
+        mats.append([sum(row_bit[f & ~(1 << v)] for v in bits(f)) for f in upper])
     return mats
 
 
 # ---------------------------------------------------------------------------
 # ranks
 
-def _rank_gf2(m: SparseMatrix) -> int:
-    rank = 0
-    basis: dict[int, int] = {}  # leading bit -> reduced vector
-    for col in m.columns:
-        row = sum(1 << r for r, _ in col)
-        while row:
-            lead = row.bit_length() - 1
-            if lead in basis:
-                row ^= basis[lead]
-            else:
-                basis[lead] = row
-                rank += 1
+def _rank_gf2(m: list[int]) -> int:
+    basis: dict[int, int] = {}  # leading bit -> reduced column
+    for col in m:
+        while col:
+            lead = col.bit_length() - 1
+            piv = basis.get(lead)
+            if piv is None:
+                basis[lead] = col
                 break
-    return rank
+            col ^= piv
+    return len(basis)
 
 
-def _rank_sparse(m: SparseMatrix, p: int | None) -> int:
+def _rank_sparse(m: list[int], p: int | None) -> int:
     """Rank over GF(p), or over Q when p is None, by column reduction.
 
-    Each column is a {row: coeff} dict; while its lowest (largest) row is
-    the pivot of an earlier column, that column's multiple is subtracted.
-    A column that survives becomes the pivot for its lowest row, scaled so
-    that entry is 1.  The rank is the number of pivots."""
+    Each column becomes a {row: coeff} dict, signed +, -, +, ... from its
+    highest row down; while its lowest (largest) row is the pivot of an
+    earlier column, that column's multiple is subtracted.  A column that
+    survives becomes the pivot for its lowest row, scaled so that entry
+    is 1.  The rank is the number of pivots."""
+    signs = (Fraction(1), Fraction(-1)) if p is None else (1, p - 1)
     pivots: dict[int, dict[int, int | Fraction]] = {}  # lowest row -> reduced column
-    for col in m.columns:
-        v = {r: Fraction(s) if p is None else s % p for r, s in col}
+    for col in m:
+        v = {r: signs[i & 1] for i, r in enumerate(sorted(bits(col), reverse=True))}
         while v:
             low = max(v)
             c = v[low]
@@ -186,7 +176,7 @@ def _rank_sparse(m: SparseMatrix, p: int | None) -> int:
     return len(pivots)
 
 
-def matrix_rank(m: SparseMatrix, field: FieldSpec) -> int:
+def matrix_rank(m: list[int], field: FieldSpec) -> int:
     p = field.p if field.variant == "prime" else None
     return _rank_gf2(m) if p == 2 else _rank_sparse(m, p)
 
@@ -221,5 +211,5 @@ def reduced_euler(k: Complex) -> int:
     chi = 0
     for f in all_faces(k):
         # a face on c vertices has dimension c-1 and sign (-1)^(c-1)
-        chi += -1 if popcount(f) % 2 == 0 else 1
+        chi += -1 if f.bit_count() % 2 == 0 else 1
     return chi

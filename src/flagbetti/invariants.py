@@ -36,7 +36,7 @@ from .complexes import (
     independence_complex,
     minimal_nonfaces,
 )
-from .graphs import Graph, bits, graph_predicates, induced, popcount
+from .graphs import Graph, bits, graph_predicates, induced
 from .homology import GF2, BettiVector, FieldSpec, betti, total_betti
 
 __all__ = [
@@ -385,7 +385,7 @@ def hochster_beta(
     for w in range(1 << g.n):
         contrib = b_graph(induced(g, w), field)
         if contrib:
-            hist[popcount(w)] = hist.get(popcount(w), 0) + contrib
+            hist[w.bit_count()] = hist.get(w.bit_count(), 0) + contrib
     return HochsterReport(sum(hist.values()), hist)
 
 

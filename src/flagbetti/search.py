@@ -1,7 +1,7 @@
 """Exhaustive and streamed extremal search over small graphs.
 
 The internal generator extends each (n-1)-vertex class representative
-by one vertex in every way (`_children`).  It canonically labels only the
+by one vertex in every way (`_children`).  It builds and labels only the
 children whose new vertex has the greatest degree, and keeps one
 canonical form per class.  That filter is exact: every n-vertex graph G
 has a vertex w of greatest degree, G - w is isomorphic to some
@@ -9,7 +9,8 @@ has a vertex w of greatest degree, G - w is isomorphic to some
 new vertex playing w, and degree is an isomorphism invariant.  (This is
 the canonical-deletion test of McKay's canonical augmentation, J.
 Algorithms 1998, on the degree invariant alone.)  The n = 9 vanishing
-sweep streams every child, unfiltered and undeduplicated.  Larger inputs
+sweep examines every child, unfiltered and undeduplicated, and builds
+those whose independence number can carry homology.  Larger inputs
 arrive as graph6 streams from external generators.
 """
 
@@ -65,18 +66,22 @@ CHECKPOINTED = ("max_value", "maximizers", "violations", "all_within_bound")
 # ---------------------------------------------------------------------------
 # isomorph-free generation
 
-def _children(parent: Graph, trifree: bool) -> Iterator[Graph]:
-    """Every one-vertex extension of parent, one per neighbourhood of the
-    new vertex (no isomorphism dedup); with trifree, only those that stay
-    triangle-free."""
-    n = parent.n + 1
+def _children(parent: Graph, trifree: bool) -> Iterator[int]:
+    """Neighbourhood masks of the new vertex, one per one-vertex extension
+    of parent (no isomorphism dedup); with trifree, only those that keep
+    the child triangle-free.  `_child` builds the extension."""
     for nb in range(1 << parent.n):
         # the new vertex closes a triangle iff two of its neighbours are
         # adjacent in the parent
         if trifree and any(parent.adj[v] & nb for v in bits(nb)):
             continue
-        adj = tuple(a | ((nb >> v & 1) << parent.n) for v, a in enumerate(parent.adj))
-        yield _trusted_graph(n, adj + (nb,))
+        yield nb
+
+
+def _child(parent: Graph, nb: int) -> Graph:
+    """parent plus a new last vertex with neighbourhood nb."""
+    adj = tuple(a | (nb >> v & 1) << parent.n for v, a in enumerate(parent.adj))
+    return _trusted_graph(parent.n + 1, adj + (nb,))
 
 
 @lru_cache(maxsize=None)
@@ -87,12 +92,16 @@ def _classes(n: int, trifree: bool) -> tuple[Graph, ...]:
     # degree: every class has such a child, since deleting a vertex of
     # greatest degree leaves a graph isomorphic to some parent (see the
     # module docstring).  The others are duplicates and need no label.
-    keys = {
-        canonical_form(g)
-        for parent in _classes(n - 1, trifree)
-        for g in _children(parent, trifree)
-        if g.adj[-1].bit_count() == max(map(int.bit_count, g.adj))
-    }
+    # A parent vertex gains a degree iff it is in nb, so the test needs only
+    # at_least[k], the parent's vertices of degree >= k, and d = |nb|.
+    keys = set()
+    for parent in _classes(n - 1, trifree):
+        at_least = [sum(1 << v for v, a in enumerate(parent.adj) if a.bit_count() >= k)
+                    for k in range(n + 1)]
+        for nb in _children(parent, trifree):
+            d = nb.bit_count()
+            if not (at_least[d + 1] & ~nb or at_least[d] & nb):
+                keys.add(canonical_form(_child(parent, nb)))
     return tuple(parse_graph6(k) for k in sorted(keys))
 
 
@@ -109,7 +118,8 @@ def enumerate_graphs(n: int, cls: str = "all") -> list[Graph]:
             f"internal generation capped at n={cap} for class {cls!r}; "
             "pipe graph6 lines from an external generator instead"
         )
-    base = _classes(n, cls == "triangle_free")
+    # every bipartite graph is triangle-free
+    base = _classes(n, cls in ("triangle_free", "bipartite"))
     if cls in ("all", "triangle_free"):
         return list(base)
     return [g for g in base if graph_predicates(g)[f"is_{cls}"]]
@@ -382,7 +392,7 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     min_alpha = min_degree + 1
     cap = GENERATOR_CAPS["all"]
     if n <= cap:
-        candidates: Iterable[tuple[Graph, int]] = (
+        candidates: Iterable[tuple[Graph | None, int]] = (
             (g, _alpha_table(g.adj)[-1]) for g in enumerate_graphs(n, "all")
         )
     elif n == cap + 1:
@@ -411,17 +421,19 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     }
 
 
-def _extensions_with_alpha(parents, min_alpha: int) -> Iterator[tuple[Graph, int]]:
+def _extensions_with_alpha(parents, min_alpha: int) -> Iterator[tuple[Graph | None, int]]:
     """Every child of every parent with its independence number, skipping
     parents whose children cannot reach min_alpha (a child's independence
-    number is at most its parent's plus one)."""
+    number is at most its parent's plus one).  A child below min_alpha is
+    counted but not built: it comes as None."""
     for parent in parents:
         alpha = _alpha_table(parent.adj)
         full = parent.vertex_mask
         if alpha[full] + 1 < min_alpha:
             continue
-        for child in _children(parent, False):
-            yield child, max(alpha[full], 1 + alpha[full & ~child.adj[-1]])
+        for nb in _children(parent, False):
+            a = max(alpha[full], 1 + alpha[full & ~nb])
+            yield (_child(parent, nb) if a >= min_alpha else None), a
 
 
 def moon_moser_check(n: int) -> dict:

@@ -1,5 +1,6 @@
 import pytest
 
+from flagbetti import complexes
 from flagbetti.complexes import (
     EMPTY,
     VOID,
@@ -224,9 +225,10 @@ class TestCensusAndClass:
         assert census["total"] == 36
         assert max_face_count(k) == 7
 
-    def test_face_cap(self):
-        with pytest.raises(FaceCapExceeded):
-            all_faces(simplex(10), cap=100)
+    def test_face_cap(self, monkeypatch):
+        monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 100)
+        with pytest.raises(FaceCapExceeded, match="cap of 100 faces"):
+            all_faces(simplex(10))
 
     def test_class_membership(self):
         k = fano_complex().complex_

@@ -41,7 +41,8 @@ ENUMERATION_HASHES = {
                      "7c580e1385be1216 391b52905dc4da0d 8cd82eee1f47cf73 f09824d4cad35225 "
                      "aaba44a2a1560e00",
     "bipartite": "8a8de823d5ed3e12 c3641f8544d7c02f 66f7cc5c004391e3 7fb81607637af873 "
-                 "7c580e1385be1216 57c9b24cf0188288 e42b6b38f601544e fb947b5ba7c21cea",
+                 "7c580e1385be1216 57c9b24cf0188288 e42b6b38f601544e fb947b5ba7c21cea "
+                 "3c67a4732efd9328",
     "connected": "8a8de823d5ed3e12 c3641f8544d7c02f ada8d598e51a0bf0 2c1256ffd0617e16 "
                  "385eb414892a1ce8 b5a909588a35cf30 7141e34866633118 12ef460a0a493012",
 }
@@ -103,12 +104,13 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("trifree", [False, True])
     def test_children_pass_checked_constructor(self, trifree):
-        # _children builds without Graph's validation, so each child must be
+        # _child builds without Graph's validation, so each child must be
         # a graph that the validating constructor accepts unchanged
         rng = random.Random(5)
         for _ in range(40):
             parent = random_graph(rng, rng.randint(0, 7), rng.random() / (3 if trifree else 1))
-            for child in search._children(parent, trifree):
+            for nb in search._children(parent, trifree):
+                child = search._child(parent, nb)
                 assert Graph(child.n, child.adj) == child
                 assert tuple(a & parent.vertex_mask for a in child.adj[:-1]) == parent.adj
 
