@@ -9,7 +9,7 @@ set when row r (a face of the lower layer) lies in the column's face.
 Signs are implied, not stored.  Face f has entry (-1)^pos at f - v, where v
 is f's vertex at ascending position pos; layers are sorted, so dropping a
 larger vertex gives a smaller row, and the signs read +, -, +, ... from the
-column's highest row down.
+column's largest row to its smallest.
 
 Two rank routines, both column reductions: GF(2) reduces the columns as
 they are, by XOR (the default field); odd GF(p) and the exact rationals
@@ -149,10 +149,10 @@ def _rank_sparse(m: list[int], p: int | None) -> int:
     """Rank over GF(p), or over Q when p is None, by column reduction.
 
     Each column becomes a {row: coeff} dict, signed +, -, +, ... from its
-    highest row down; while its lowest (largest) row is the pivot of an
-    earlier column, that column's multiple is subtracted.  A column that
-    survives becomes the pivot for its lowest row, scaled so that entry
-    is 1.  The rank is the number of pivots."""
+    largest row to its smallest; while its lowest (largest) row is the
+    pivot of an earlier column, that column's multiple is subtracted.  A
+    column that survives becomes the pivot for its lowest row, scaled so
+    that entry is 1.  The rank is the number of pivots."""
     signs = (Fraction(1), Fraction(-1)) if p is None else (1, p - 1)
     pivots: dict[int, dict[int, int | Fraction]] = {}  # lowest row -> reduced column
     for col in m:

@@ -67,7 +67,7 @@ class TestFieldSpec:
 
 def signed_column(col: int) -> dict[int, int]:
     """{row: sign} of a bitmask column by the documented rule: +1 on the
-    highest row, alternating going down."""
+    largest row, alternating toward smaller rows."""
     rows = sorted(bits(col), reverse=True)
     return {r: (-1) ** i for i, r in enumerate(rows)}
 
