@@ -32,11 +32,8 @@ __all__ = [
     "suspension",
     "link",
     "delete_vertex",
-    "face_census",
     "all_faces",
     "class_membership",
-    "max_face_count",
-    "squash",
     "read_facet_file",
     "write_facet_file",
 ]
@@ -91,13 +88,6 @@ class Complex:
     @property
     def is_empty_complex(self) -> bool:
         return self.facets == (0,)
-
-    @property
-    def used_vertices(self) -> int:
-        mask = 0
-        for f in self.facets:
-            mask |= f
-        return mask
 
     def dim(self) -> int:
         """Dimension; -1 for the empty complex. Undefined (error) for void."""
@@ -306,49 +296,29 @@ def _drop_vertex(mask: int, v: int) -> int:
     return low | (mask >> (v + 1)) << v
 
 
-def squash(k: Complex) -> Complex:
-    """Same complex on the used vertices only (order-preserving relabel).
-    Betti numbers are unchanged; only the ambient count shrinks."""
-    if k.is_void:
-        return k
-    used = list(bits(k.used_vertices))
-    pos = {v: i for i, v in enumerate(used)}
-    facets = tuple(sorted(sum(1 << pos[v] for v in bits(f)) for f in k.facets))
-    return Complex(len(used), facets)
-
-
 # ---------------------------------------------------------------------------
 # face enumeration and classification
 
 def all_faces(k: Complex) -> list[int]:
-    """Every face (including the empty face 0) by downward closure, sorted
-    by (size, mask).  More than DEFAULT_FACE_CAP faces raise FaceCapExceeded."""
+    """Every face (including the empty face 0), sorted by (size, mask):
+    each facet's subsets, walked by sub = (sub - 1) & facet, into one set.
+    More than DEFAULT_FACE_CAP faces raise FaceCapExceeded, exactly.  A
+    facet of s vertices raises before its walk if its 2^s subsets alone
+    exceed the cap, and the count is checked after each facet, so at most
+    DEFAULT_FACE_CAP + 2^s faces are held before the raise."""
     if k.is_void:
         raise ValueError("void complex has no faces")
-    seen: set[int] = set()
+    faces = {0}
     for facet in k.facets:
-        stack = [facet]
-        while stack:
-            f = stack.pop()
-            if f in seen:
-                continue
-            seen.add(f)
-            if len(seen) > DEFAULT_FACE_CAP:
-                raise FaceCapExceeded(DEFAULT_FACE_CAP)
-            for v in bits(f):
-                sub = f & ~(1 << v)
-                if sub not in seen:
-                    stack.append(sub)
-    return sorted(sorted(seen), key=int.bit_count)
-
-
-def face_census(k: Complex) -> dict:
-    """f-vector indexed by face cardinality, plus the total face count."""
-    faces = all_faces(k)
-    fvec: dict[int, int] = {}
-    for f in faces:
-        fvec[f.bit_count()] = fvec.get(f.bit_count(), 0) + 1
-    return {"f_vector": fvec, "total": len(faces)}
+        if 1 << facet.bit_count() > DEFAULT_FACE_CAP:
+            raise FaceCapExceeded(DEFAULT_FACE_CAP)
+        sub = facet
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & facet
+        if len(faces) > DEFAULT_FACE_CAP:
+            raise FaceCapExceeded(DEFAULT_FACE_CAP)
+    return sorted(sorted(faces), key=int.bit_count)
 
 
 def class_membership(k: Complex) -> dict:
@@ -364,12 +334,6 @@ def class_membership(k: Complex) -> dict:
         "min_nonface_max_size": d_f,
         "max_facet_deficiency": d_m,
     }
-
-
-def max_face_count(k: Complex) -> int:
-    if k.is_void:
-        raise ValueError("void complex has no faces")
-    return len(k.facets)
 
 
 # ---------------------------------------------------------------------------

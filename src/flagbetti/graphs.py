@@ -31,8 +31,6 @@ __all__ = [
     "copies",
     "induced",
     "complement",
-    "delete_vertices",
-    "delete_closed_neighborhood",
     "graph_predicates",
     "canonical_form",
     "canonical_graph",
@@ -77,9 +75,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
@@ -139,21 +134,21 @@ def parse_graph6(text: str) -> Graph:
         if len(text) < 1 + nbytes:
             raise Graph6Error("truncated graph6 word", len(text))
         raise Graph6Error("trailing garbage after graph6 word", 1 + nbytes)
-    bitstream = []
+    acc = 0
     for i, ch in enumerate(text[1:], start=1):
         code = ord(ch)
         if not 63 <= code <= 126:
             raise Graph6Error("character out of graph6 range", i)
-        val = code - 63
-        bitstream.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+        acc = acc << 6 | code - 63
+    # the upper triangle x(0,1) x(0,2) x(1,2) ... is read from the top bit down
     adj = [0] * n
-    k = 0
+    k = 6 * nbytes
     for j in range(1, n):
         for i in range(j):
-            if bitstream[k]:
+            k -= 1
+            if acc >> k & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-            k += 1
     return Graph(n, tuple(adj))
 
 
@@ -254,17 +249,6 @@ def induced(g: Graph, w) -> Graph:
 def complement(g: Graph) -> Graph:
     full = g.vertex_mask
     return Graph(g.n, tuple((full ^ nb ^ (1 << v)) for v, nb in enumerate(g.adj)))
-
-
-def delete_vertices(g: Graph, w) -> Graph:
-    mask = w if isinstance(w, int) else sum(1 << v for v in set(w))
-    return induced(g, g.vertex_mask & ~mask)
-
-
-def delete_closed_neighborhood(g: Graph, v: int) -> Graph:
-    if not 0 <= v < g.n:
-        raise ValueError("vertex out of range")
-    return induced(g, g.vertex_mask & ~(g.adj[v] | 1 << v))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .complexes import (
     minimal_nonfaces,
 )
 from .graphs import Graph, bits, graph_predicates, induced
-from .homology import GF2, BettiVector, FieldSpec, betti, total_betti
+from .homology import GF2, BettiVector, FieldSpec, betti
 
 __all__ = [
     "Enclosure",
@@ -57,7 +57,6 @@ __all__ = [
     "growth_bound",
     "check_bounds",
     "check_complex_bounds",
-    "check_vanishing",
 ]
 
 HOCHSTER_CAP = 14
@@ -465,10 +464,14 @@ def check_bounds(
 
 
 def check_complex_bounds(k: Complex, field: FieldSpec = GF2) -> dict:
-    """Check the facet-count, non-face-count and missing-face bounds."""
+    """Check the facet-count, non-face-count and missing-face bounds, and
+    the vanishing theorem: homology is zero above degree n(d-1)/d - 1 when
+    every minimal non-face has at most d vertices.  d = max(d_F, 1), since
+    a complex with no non-faces meets that hypothesis for every d >= 1."""
     if k.is_void:
         raise ValueError("void complex has no bounds to check")
-    b = total_betti(k, field)
+    bv = betti(k, field)
+    b = bv.total()
     m = len(k.facets)
     nonfaces = minimal_nonfaces(k)
     cls = class_membership(k)
@@ -490,6 +493,14 @@ def check_complex_bounds(k: Complex, field: FieldSpec = GF2) -> dict:
                 "b-le-thetasmall_dM^n", b, theta_small_enclosure(d_m) ** k.n
             )
         )
+    d = max(d_f, 1)
+    threshold = Fraction(k.n * (d - 1), d) - 1
+    top = bv.top_degree()
+    vanishing = {
+        "threshold": float(threshold),
+        "top_nonzero_degree": top,
+        "pass": top is None or top <= threshold,
+    }
     return {
         "n": k.n,
         "m": m,
@@ -497,27 +508,6 @@ def check_complex_bounds(k: Complex, field: FieldSpec = GF2) -> dict:
         "b": b,
         "class": cls,
         "bounds": bounds,
-        "all_pass": all(entry["pass"] for entry in bounds),
-    }
-
-
-def check_vanishing(k: Complex, field: FieldSpec = GF2) -> dict:
-    """Check that homology vanishes above n(d-1)/d - 1, where d is the
-    largest minimal non-face size."""
-    if k.is_void:
-        raise ValueError("void complex has nothing to check")
-    cls = class_membership(k)
-    d = cls["min_nonface_max_size"]
-    bv = betti(k, field)
-    top = bv.top_degree()
-    if d < 1:
-        # full simplex: contractible, nothing above any threshold
-        return {"d": d, "threshold": None, "top_nonzero_degree": top, "pass": top is None}
-    threshold = Fraction(k.n * (d - 1), d) - 1
-    violating = [deg for deg, b in bv.by_degree if Fraction(deg) > threshold and b > 0]
-    return {
-        "d": d,
-        "threshold": float(threshold),
-        "top_nonzero_degree": top,
-        "pass": not violating,
+        "vanishing": vanishing,
+        "all_pass": vanishing["pass"] and all(entry["pass"] for entry in bounds),
     }

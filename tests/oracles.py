@@ -62,6 +62,13 @@ def faces_oracle(k: Complex) -> list[int]:
     ]
 
 
+def squash(k: Complex) -> Complex:
+    """The same complex on its used vertices only, relabelled in order."""
+    used = [v for v in range(k.n) if any(f >> v & 1 for f in k.facets)]
+    facets = [sum(1 << i for i, v in enumerate(used) if f >> v & 1) for f in k.facets]
+    return Complex(len(used), tuple(sorted(facets)))
+
+
 def betti_oracle_gf2(k: Complex) -> dict[int, int]:
     """Reduced Betti numbers over GF(2) with dense numpy elimination on
     boundary matrices built from the full face list."""

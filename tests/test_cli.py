@@ -354,6 +354,14 @@ class TestCheck:
         assert res.exit_code == 0
         assert json.loads(res.output)["all_pass"]
 
+    def test_empty_complex(self, runner, tmp_path):
+        path = tmp_path / "k.facets"
+        path.write_text("n 0\nempty\n")
+        res = invoke(runner, ["check", "--facets", str(path)])
+        assert res.exit_code == 0
+        out = json.loads(res.output)
+        assert out["vanishing"]["pass"] and out["all_pass"]
+
     def test_beta_refused_for_complex(self, runner, tmp_path):
         path = tmp_path / "k.facets"
         path.write_text(write_facet_file(fano_complex().complex_))

@@ -12,7 +12,6 @@ from flagbetti.graphs import (
     copies,
     crown,
     cycle,
-    delete_closed_neighborhood,
     disjoint_union,
     empty_graph,
     encode_graph6,
@@ -134,16 +133,6 @@ class TestSubgraphs:
             g = random_graph(rng, rng.randint(0, 12), rng.random())
             h = induced(g, rng.getrandbits(g.n))
             assert Graph(h.n, h.adj) == h
-
-    def test_delete_closed_neighborhood(self):
-        assert delete_closed_neighborhood(complete(5), 2).n == 0
-        two_k2 = copies(2, complete(2))
-        assert delete_closed_neighborhood(two_k2, 0) == complete(2)
-        # crown(3) is a 6-cycle: removing N[v] leaves a 3-vertex path
-        left = delete_closed_neighborhood(crown(3), 0)
-        assert are_isomorphic_oracle(left, from_edges(3, [(0, 1), (1, 2)]))
-        with pytest.raises(ValueError):
-            delete_closed_neighborhood(complete(3), 7)
 
     def test_complement_involution(self, rng):
         for _ in range(50):

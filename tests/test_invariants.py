@@ -5,7 +5,7 @@ from math import comb, isqrt
 import pytest
 
 from flagbetti import invariants
-from flagbetti.complexes import independence_complex, skeleton_simplex, suspension
+from flagbetti.complexes import EMPTY, independence_complex, skeleton_simplex, suspension
 from flagbetti.constructions import fano_bip, fano_complex, neighbourhood_power
 from flagbetti.graphs import (
     complete,
@@ -27,7 +27,6 @@ from flagbetti.invariants import (
     bisect_root,
     check_bounds,
     check_complex_bounds,
-    check_vanishing,
     conjecture_base_enclosure,
     gamma_enclosure,
     gamma_power,
@@ -278,20 +277,28 @@ class TestVanishing:
     def test_flag_threshold(self):
         # flag complex on n vertices: homology vanishes above n/2 - 1
         k = independence_complex(cycle(5))
-        rep = check_vanishing(k)
-        assert rep["d"] == 2
-        assert rep["threshold"] == 5 / 2 - 1
-        assert rep["pass"]
+        rep = check_complex_bounds(k)
+        assert rep["class"]["min_nonface_max_size"] == 2
+        assert rep["vanishing"]["threshold"] == 5 / 2 - 1
+        assert rep["vanishing"]["pass"] and rep["all_pass"]
 
     def test_simplex(self):
         from flagbetti.complexes import simplex
 
-        rep = check_vanishing(simplex(4))
-        assert rep["d"] == 0 and rep["pass"]
+        rep = check_complex_bounds(simplex(4))
+        assert rep["class"]["min_nonface_max_size"] == 0
+        assert rep["vanishing"] == {"threshold": -1.0, "top_nonzero_degree": None, "pass": True}
+
+    def test_empty_complex(self):
+        # {emptyset} has no non-faces and b_-1 = 1, at the threshold -1, not above it
+        rep = check_complex_bounds(EMPTY)
+        assert rep["vanishing"] == {"threshold": -1.0, "top_nonzero_degree": -1, "pass": True}
+        assert rep["all_pass"]
 
     def test_fano(self):
-        rep = check_vanishing(fano_complex().complex_)
-        assert rep["d"] == 3 and rep["pass"]
+        rep = check_complex_bounds(fano_complex().complex_)
+        assert rep["class"]["min_nonface_max_size"] == 3
+        assert rep["vanishing"]["pass"]
 
 
 class TestSuspensionIdentity:

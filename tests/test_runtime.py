@@ -1,13 +1,18 @@
-"""What `import flagbetti.cli` loads, and the options the CLI no longer has."""
+"""What `import flagbetti.cli` loads, the options the CLI no longer has, and
+that every name a module exports resolves."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
+import flagbetti
 from flagbetti.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -31,3 +36,12 @@ def test_beta_workers_is_a_usage_error():
     res = CliRunner().invoke(main, ["beta", "--graph6", "Bw", "--workers", "2"])
     assert res.exit_code == 2
     assert "No such option" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "module", [info.name for info in pkgutil.iter_modules(flagbetti.__path__)]
+)
+def test_every_public_name_resolves(module):
+    # a name left in __all__ after its function is deleted breaks `import *`
+    mod = importlib.import_module(f"flagbetti.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
