@@ -31,6 +31,7 @@ print()
 print("== conjecture probe: are triangle-free maximizers bipartite? ==")
 rep = conjecture_checks(8)
 print(f"n=8: max b = {rep['triangle_free_max_b']}, "
-      f"all maximizers bipartite: {rep['all_maximizers_bipartite']}")
+      f"all maximizers bipartite: {rep['all_maximizers_bipartite']}, "
+      f"some maximizer bipartite: {rep['some_maximizer_bipartite']}")
 for m in rep["maximizers"]:
     print(f"  {m['graph6']}: bipartite={m['is_bipartite']} connected={m['is_connected']}")

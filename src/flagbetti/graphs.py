@@ -308,19 +308,27 @@ def graph_predicates(g: Graph) -> dict:
 # canonical labelling (brute force with colour refinement pruning, n <= 10)
 
 def _refine_colors(g: Graph) -> list[int]:
-    """Iterated degree refinement; returns invariant colour ranks."""
-    sig = [g.degree(v) for v in range(g.n)]
-    for _ in range(g.n):
-        new = [
-            (sig[v], tuple(sorted(sig[u] for u in bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        ranks = {s: i for i, s in enumerate(sorted(set(new)))}
-        new_sig = [ranks[s] for s in new]
-        if new_sig == sig:
-            break
-        sig = new_sig
-    return sig
+    """Iterated degree refinement; returns invariant colour ranks.
+
+    Each round ranks the vertices by (colour, sorted neighbour colours).
+    That tuple is computed as the neighbour counts in each colour class,
+    negated, in ascending colour order: vertices of one colour share a
+    degree, so their sorted tuples first differ at the lowest colour whose
+    counts differ, and the tuple holding more of it is the smaller.  The
+    first round that splits no class fixes the ranks."""
+    adj = g.adj
+    sig = [a.bit_count() for a in adj]
+    while True:
+        classes: dict[int, int] = {}
+        for v, s in enumerate(sig):
+            classes[s] = classes.get(s, 0) | 1 << v
+        masks = [classes[s] for s in sorted(classes)]
+        keys = [(s, tuple([-(a & m).bit_count() for m in masks])) for s, a in zip(sig, adj)]
+        ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [ranks[k] for k in keys]
+        if len(ranks) == len(classes):
+            return new
+        sig = new
 
 
 def _min_code(g: Graph, colors: list[int]) -> list[int]:

@@ -1,17 +1,30 @@
 """Exhaustive and streamed extremal search over small graphs.
 
 The internal generator extends each (n-1)-vertex class representative
-by one vertex in every way (`_children`).  It builds and labels only the
-children whose new vertex has the greatest degree, and keeps one
-canonical form per class.  That filter is exact: every n-vertex graph G
-has a vertex w of greatest degree, G - w is isomorphic to some
-(n-1)-vertex representative P, so G appears among P's children with the
-new vertex playing w, and degree is an isomorphism invariant.  (This is
-the canonical-deletion test of McKay's canonical augmentation, J.
-Algorithms 1998, on the degree invariant alone.)  The n = 9 vanishing
-sweep examines every child, unfiltered and undeduplicated, and builds
-those whose independence number can carry homology.  Larger inputs
-arrive as graph6 streams from external generators.
+by one vertex in every way (`_children`), and keeps one canonical form
+per class.  It builds and labels only the children that pass three
+filters, each exact:
+
+- Degree: the new vertex has the greatest degree in the child.
+- Tie: among the child's vertices of greatest degree, the new vertex has
+  the greatest list of neighbour degrees, each list sorted ascending and
+  compared lexicographically.
+- Twins: within each class of twins of the parent (vertices whose
+  neighbourhoods agree apart from each other), the new vertex's
+  neighbours are the lowest-indexed members.
+
+The first two are the canonical-deletion test of McKay's canonical
+augmentation (J. Algorithms 1998) on the invariant (degree, sorted
+neighbour degrees).  Every n-vertex graph G has a vertex w that maximises
+it, G - w is isomorphic to some (n-1)-vertex representative P, so G
+appears among P's children with the new vertex playing w, and the
+invariant does not depend on the labelling.  The third holds because any
+permutation within a twin class is an automorphism of P: it maps a
+child to an isomorphic child, fixing the new vertex, and each child can
+be mapped so that its neighbours in every class come lowest.  The n = 9
+vanishing sweep examines every child, unfiltered and undeduplicated, and
+builds those whose independence number can carry homology.  Larger
+inputs arrive as graph6 streams from external generators.
 """
 
 from __future__ import annotations
@@ -58,7 +71,7 @@ __all__ = [
     "moon_moser_check",
 ]
 
-GENERATOR_CAPS = {"all": 8, "triangle_free": 9, "bipartite": 8, "connected": 8}
+GENERATOR_CAPS = {"all": 8, "triangle_free": 10, "bipartite": 8, "connected": 8}
 CHECKPOINT_EVERY = 100_000
 CHECKPOINTED = ("max_value", "maximizers", "violations", "all_within_bound")
 
@@ -84,25 +97,61 @@ def _child(parent: Graph, nb: int) -> Graph:
     return _trusted_graph(parent.n + 1, adj + (nb,))
 
 
+def _twin_classes(adj: tuple[int, ...]) -> list[int]:
+    """Vertex masks of the classes of two or more twins: vertices whose
+    neighbourhoods agree apart from each other.  Such a class is a clique
+    of vertices with one closed neighbourhood or an independent set of
+    vertices with one open neighbourhood, and no open neighbourhood equals
+    another vertex's closed one, so one dict keyed by both finds them."""
+    groups: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        bit = 1 << v
+        groups[a] = groups.get(a, 0) | bit
+        groups[a | bit] = groups.get(a | bit, 0) | bit
+    return [m for m in groups.values() if m & (m - 1)]
+
+
 @lru_cache(maxsize=None)
 def _classes(n: int, trifree: bool) -> tuple[Graph, ...]:
     if n == 0:
         return (empty_graph(0),)
-    # Label a child only when its new vertex (the last) has the greatest
-    # degree: every class has such a child, since deleting a vertex of
-    # greatest degree leaves a graph isomorphic to some parent (see the
-    # module docstring).  The others are duplicates and need no label.
-    # A parent vertex gains a degree iff it is in nb, so the test needs only
-    # at_least[k], the parent's vertices of degree >= k, and d = |nb|.
+    # Three exact filters run before a child is labelled (see the module
+    # docstring).  A parent vertex gains a degree iff it is in nb, so the
+    # degree test needs only at_least[k], the parent's vertices of degree
+    # >= k, and d = |nb|.  The twin test keeps nb only where it takes the
+    # lowest-indexed members of each twin class.  The tie test compares
+    # sorted neighbour degrees with the other vertices of degree d.
     keys = set()
     for parent in _classes(n - 1, trifree):
-        at_least = [sum(1 << v for v, a in enumerate(parent.adj) if a.bit_count() >= k)
-                    for k in range(n + 1)]
+        deg = [a.bit_count() for a in parent.adj]
+        at_least = [sum(1 << v for v, k in enumerate(deg) if k >= j) for j in range(n + 1)]
+        twins = _twin_classes(parent.adj)
         for nb in _children(parent, trifree):
             d = nb.bit_count()
-            if not (at_least[d + 1] & ~nb or at_least[d] & nb):
-                keys.add(canonical_form(_child(parent, nb)))
+            if at_least[d + 1] & ~nb or at_least[d] & nb:
+                continue
+            if any(t & ~nb & ((1 << (nb & t).bit_length()) - 1) for t in twins):
+                continue
+            tied = (at_least[d] & ~nb) | (at_least[d - 1] & nb if d else 0)
+            if tied and _outranked(parent.adj, deg, nb, d, tied):
+                continue
+            keys.add(canonical_form(_child(parent, nb)))
     return tuple(parse_graph6(k) for k in sorted(keys))
+
+
+def _outranked(adj: tuple[int, ...], deg: list[int], nb: int, d: int, tied: int) -> bool:
+    """Whether some parent vertex in tied, which has degree d in the child
+    parent + nb as the new vertex has, has a greater sorted list of
+    neighbour degrees there than the new vertex."""
+    child_deg = [k + (nb >> v & 1) for v, k in enumerate(deg)]
+    mine = sorted(child_deg[v] for v in bits(nb))
+    for u in bits(tied):
+        theirs = [child_deg[v] for v in bits(adj[u])]
+        if nb >> u & 1:
+            theirs.append(d)
+        if sorted(theirs) > mine:
+            return True
+    return False
 
 
 def enumerate_graphs(n: int, cls: str = "all") -> list[Graph]:
@@ -308,7 +357,9 @@ def conjecture_checks(
     """Probe the two open questions at desk scale.
 
     Triangle-free part: among n-vertex triangle-free maximizers of b,
-    report the bipartiteness flag of each (no pass/fail is asserted).
+    report the bipartiteness flag of each, and whether all and whether
+    some of them are bipartite (no pass/fail is asserted): at n = 10 the
+    Petersen graph ties a bipartite maximizer.
     Complex part: for each supplied complex, compare b against the
     conjectured missing-face bound with d = largest minimal non-face.
     Bound violations of the proven theorems are collected separately.
@@ -351,6 +402,7 @@ def conjecture_checks(
         "graphs_examined": report.graphs_examined,
         "maximizers": maximizer_flags,
         "all_maximizers_bipartite": all(m["is_bipartite"] for m in maximizer_flags),
+        "some_maximizer_bipartite": any(m["is_bipartite"] for m in maximizer_flags),
         "theorem_bound_violations": report.violations,
         "complex_checks": complex_results,
         "proven_bound_counterexamples": counterexamples,
@@ -378,12 +430,13 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
 
     Homology in degree i needs an independent set of i+1 vertices, so only
     graphs whose independence number clears the threshold are computed.
-    For n one past the generator cap the candidates are streamed as
-    one-vertex extensions of the (n-1)-vertex representatives; duplicates
-    across parents are harmless for a universally-quantified check.  Each
-    parent's `_alpha_table` gives its children's independence numbers:
-    a child whose new vertex has neighbourhood nb has
-    alpha = max(alpha[full], 1 + alpha[full & ~nb]).
+    Up to the generator cap a class's independence number is the size of
+    the largest facet of Ind(G).  For n one past the cap the candidates
+    are streamed as one-vertex extensions of the (n-1)-vertex
+    representatives; duplicates across parents are harmless for a
+    universally-quantified check.  Each parent's `_alpha_table` gives its
+    children's independence numbers: a child whose new vertex has
+    neighbourhood nb has alpha = max(alpha[full], 1 + alpha[full & ~nb]).
     """
     from fractions import Fraction
 
@@ -393,7 +446,8 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     cap = GENERATOR_CAPS["all"]
     if n <= cap:
         candidates: Iterable[tuple[Graph | None, int]] = (
-            (g, _alpha_table(g.adj)[-1]) for g in enumerate_graphs(n, "all")
+            (g, max(f.bit_count() for f in independence_complex(g).facets))
+            for g in enumerate_graphs(n, "all")
         )
     elif n == cap + 1:
         candidates = _extensions_with_alpha(_classes(cap, False), min_alpha)

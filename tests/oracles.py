@@ -272,6 +272,24 @@ def classes_oracle(n: int, trifree: bool) -> tuple[Graph, ...]:
     return tuple(parse_graph6(k) for k in sorted(keys))
 
 
+def refine_colors_oracle(g: Graph) -> list[int]:
+    """Iterated degree refinement by sorted neighbour-colour tuples: each
+    round ranks the vertices by (colour, sorted colours of neighbours)
+    until the ranks stop changing."""
+    sig = [g.degree(v) for v in range(g.n)]
+    for _ in range(g.n):
+        new = [
+            (sig[v], tuple(sorted(sig[u] for u in range(g.n) if g.adj[v] >> u & 1)))
+            for v in range(g.n)
+        ]
+        ranks = {s: i for i, s in enumerate(sorted(set(new)))}
+        new_sig = [ranks[s] for s in new]
+        if new_sig == sig:
+            break
+        sig = new_sig
+    return sig
+
+
 def bisect_root_oracle(poly, lo=Fraction(1), hi=Fraction(2), steps: int = 120):
     """(lo, hi) after `steps` halvings of [lo, hi] by exact `Fraction`
     midpoints, for a callable poly negative at lo and positive at hi;

@@ -268,6 +268,7 @@ def test_criterion_9_conjecture_harness(capsys):
             "triangle_free_max_b",
             "maximizers",
             "all_maximizers_bipartite",
+            "some_maximizer_bipartite",
             "theorem_bound_violations",
             "bounds_violated",
         ):

@@ -5,6 +5,7 @@ import pytest
 from flagbetti.graphs import (
     Graph,
     Graph6Error,
+    _refine_colors,
     canonical_form,
     canonical_graph,
     complement,
@@ -22,7 +23,13 @@ from flagbetti.graphs import (
     parse_graph6,
 )
 from conftest import random_graph
-from oracles import all_labelled_graphs, are_isomorphic_oracle, graph6_encode_oracle
+from flagbetti.search import enumerate_graphs
+from oracles import (
+    all_labelled_graphs,
+    are_isomorphic_oracle,
+    graph6_encode_oracle,
+    refine_colors_oracle,
+)
 
 
 class TestGraph6:
@@ -183,6 +190,23 @@ class TestCanonical:
     def test_cap(self):
         with pytest.raises(ValueError):
             canonical_form(empty_graph(11))
+
+    def test_refinement_matches_sorted_tuple_oracle_on_classes(self):
+        for n in range(8):
+            for g in enumerate_graphs(n, "all"):
+                assert _refine_colors(g) == refine_colors_oracle(g), encode_graph6(g)
+
+    def test_refinement_matches_sorted_tuple_oracle_on_random_graphs(self):
+        rng = random.Random(12)
+        for _ in range(2000):
+            g = random_graph(rng, rng.randint(0, 10), rng.random())
+            assert _refine_colors(g) == refine_colors_oracle(g), encode_graph6(g)
+
+    def test_refinement_matches_oracle_where_nothing_splits(self):
+        regular = [cycle(n) for n in range(3, 11)] + [crown(s) for s in range(1, 6)]
+        regular += [copies(s, g) for s in (2, 3) for g in (complete(3), cycle(4))]
+        for g in regular:
+            assert _refine_colors(g) == refine_colors_oracle(g) == [0] * g.n
 
     def test_form_is_a_graph6_str(self, rng):
         assert canonical_form(empty_graph(0)) == "?"

@@ -2,13 +2,23 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
 
 from flagbetti import search
-from flagbetti.graphs import Graph, Graph6Error, complete, empty_graph, encode_graph6, parse_graph6
+from flagbetti.graphs import (
+    Graph,
+    Graph6Error,
+    canonical_form,
+    complete,
+    empty_graph,
+    encode_graph6,
+    parse_graph6,
+)
 from flagbetti.homology import GF3
 from flagbetti.invariants import theta_power
 from flagbetti.search import (
@@ -28,9 +38,10 @@ from oracles import (
     independent_sets_oracle,
 )
 
-# number of graphs on n unlabelled vertices, n = 0..7
+# number of graphs on n unlabelled vertices, n = 0..7, and of triangle-free
+# ones, n = 0..10 (OEIS A000088, A006785)
 GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]
-TRIFREE_COUNTS = [1, 1, 2, 3, 7, 14, 38, 107]
+TRIFREE_COUNTS = [1, 1, 2, 3, 7, 14, 38, 107, 410, 1897, 12172]
 
 # sha256 of the graph6 words of enumerate_graphs(n, cls) joined by newlines,
 # first 16 hex digits, for n = 0, 1, ...
@@ -39,7 +50,7 @@ ENUMERATION_HASHES = {
            "cc50ad5be69dff28 38252e9b87ec61a6 2c9724b72b46abfe 7a8932e01cbaf20d",
     "triangle_free": "8a8de823d5ed3e12 c3641f8544d7c02f 66f7cc5c004391e3 7fb81607637af873 "
                      "7c580e1385be1216 391b52905dc4da0d 8cd82eee1f47cf73 f09824d4cad35225 "
-                     "aaba44a2a1560e00",
+                     "aaba44a2a1560e00 fdd0a7a6ffdab7dc 7c0f4fc251aa0f1a",
     "bipartite": "8a8de823d5ed3e12 c3641f8544d7c02f 66f7cc5c004391e3 7fb81607637af873 "
                  "7c580e1385be1216 57c9b24cf0188288 e42b6b38f601544e fb947b5ba7c21cea "
                  "3c67a4732efd9328",
@@ -53,7 +64,7 @@ class TestEnumeration:
     def test_counts_all(self, n):
         assert len(enumerate_graphs(n, "all")) == GRAPH_COUNTS[n]
 
-    @pytest.mark.parametrize("n", range(8))
+    @pytest.mark.parametrize("n", range(len(TRIFREE_COUNTS)))
     def test_counts_triangle_free(self, n):
         assert len(enumerate_graphs(n, "triangle_free")) == TRIFREE_COUNTS[n]
 
@@ -98,9 +109,44 @@ class TestEnumeration:
     @pytest.mark.parametrize("n, trifree", [(n, False) for n in range(8)]
                              + [(n, True) for n in range(9)])
     def test_degree_filter_matches_unfiltered_oracle(self, n, trifree):
-        # _classes labels only children whose new vertex has the greatest
-        # degree; the oracle labels every child
+        # _classes labels only the children that pass its degree, tie and
+        # twin filters; the oracle labels every child
         assert search._classes(n, trifree) == classes_oracle(n, trifree)
+
+    @pytest.mark.parametrize("trifree, top, labels", [
+        (False, 7, [0, 1, 2, 4, 11, 39, 191, 1425]),
+        (True, 8, [0, 1, 2, 3, 7, 14, 40, 130, 528]),
+    ])
+    def test_filters_label_pinned_children(self, monkeypatch, trifree, top, labels):
+        # how many children pass the filters and get labelled, per n: a
+        # weaker filter stays exact but labels more
+        made = Counter()
+        monkeypatch.setattr(search, "_classes", lru_cache(maxsize=None)(search._classes.__wrapped__))
+        monkeypatch.setattr(search, "canonical_form", lambda g: made.update([g.n]) or canonical_form(g))
+        search._classes(top, trifree)
+        assert [made[n] for n in range(top + 1)] == labels
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_twin_classes_against_brute_force(self, n):
+        def swap(g, u, v):
+            perm = list(range(n))
+            perm[u], perm[v] = v, u
+            adj = [0] * n
+            for x in range(n):
+                for y in range(n):
+                    if g.adj[x] >> y & 1:
+                        adj[perm[x]] |= 1 << perm[y]
+            return Graph(n, tuple(adj))
+
+        for g in all_labelled_graphs(n):
+            twins = [[v for v in range(n)
+                      if not (g.adj[u] ^ g.adj[v]) & ~(1 << u | 1 << v)] for u in range(n)]
+            expected = {sum(1 << v for v in t) for t in twins if len(t) >= 2}
+            got = search._twin_classes(g.adj)
+            assert len(got) == len(expected) and set(got) == expected, encode_graph6(g)
+            for t in got:
+                for u, v in combinations([v for v in range(n) if t >> v & 1], 2):
+                    assert swap(g, u, v) == g
 
     @pytest.mark.parametrize("trifree", [False, True])
     def test_children_pass_checked_constructor(self, trifree):
@@ -308,6 +354,16 @@ class TestConjectureChecks:
         assert not rep["bounds_violated"]
         assert all("is_bipartite" in m for m in rep["maximizers"])
 
+    def test_petersen_ties_a_bipartite_maximizer(self):
+        rep = conjecture_checks(10)
+        assert rep["triangle_free_max_b"] == 4
+        assert rep["graphs_examined"] == 12172
+        flags = {m["graph6"]: m["is_bipartite"] for m in rep["maximizers"]}
+        assert flags == {"I?BvUqw]?": True, "I?qb@pSc_": False}
+        assert not rep["all_maximizers_bipartite"]
+        assert rep["some_maximizer_bipartite"]
+        assert not rep["bounds_violated"]
+
     def test_with_complexes(self):
         from flagbetti.constructions import missing_face_complex
 
@@ -333,7 +389,7 @@ class TestVanishingSweep:
                         best[mask] = max(best[mask], bin(s).count("1"))
             assert alpha == best
 
-    @pytest.mark.parametrize("n, examined, computed", [(6, 156, 36), (7, 1044, 359)])
+    @pytest.mark.parametrize("n, examined, computed", [(0, 1, 0), (6, 156, 36), (7, 1044, 359)])
     def test_counts(self, n, examined, computed):
         rep = flag_vanishing_sweep(n)
         assert (rep["graphs_examined"], rep["homology_computed"]) == (examined, computed)
