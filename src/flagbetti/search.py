@@ -140,9 +140,10 @@ def _classes(n: int, trifree: bool) -> tuple[Graph, ...]:
 
 
 def _outranked(adj: tuple[int, ...], deg: list[int], nb: int, d: int, tied: int) -> bool:
-    """Whether some parent vertex in tied, which has degree d in the child
-    parent + nb as the new vertex has, has a greater sorted list of
-    neighbour degrees there than the new vertex."""
+    """Whether a vertex in tied (the parent's vertices that, like the new
+    vertex, have degree d in the child parent + nb) has a greater
+    ascending-sorted list of neighbour degrees in the child than the new
+    vertex."""
     child_deg = [k + (nb >> v & 1) for v, k in enumerate(deg)]
     mine = sorted(child_deg[v] for v in bits(nb))
     for u in bits(tied):
