@@ -172,26 +172,17 @@ def neighbourhood_complex(g: Graph) -> Complex:
 
 
 def dominance_complex(g: Graph) -> Complex:
-    """Faces are complements of dominating sets of g (brute force)."""
+    """Faces are complements of dominating sets of g.  A set dominates iff
+    it meets every closed neighbourhood N[v], i.e. lies in no complement
+    of one, so this is the Alexander dual of the complex generated by those
+    complements: its facets are the complements of the minimal dominating
+    sets."""
     if g.n > DOMINANCE_CAP:
         raise ValueError(f"dominance complex refused for n={g.n} > cap={DOMINANCE_CAP}")
     if g.n == 0:
         return Complex(0, (0,))
     full = g.vertex_mask
-    closed = [g.adj[v] | 1 << v for v in range(g.n)]
-    minimal: list[int] = []
-    # subsets in increasing size so minimality filtering is one pass
-    subsets = sorted(range(1 << g.n), key=int.bit_count)
-    for s in subsets:
-        dominated = 0
-        for v in bits(s):
-            dominated |= closed[v]
-        if dominated != full:
-            continue
-        if any(m & s == m for m in minimal):
-            continue
-        minimal.append(s)
-    return Complex(g.n, _prune_to_maximal([full ^ m for m in minimal]))
+    return alexander_dual(from_facets(g.n, [full ^ (a | 1 << v) for v, a in enumerate(g.adj)]))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +190,11 @@ def dominance_complex(g: Graph) -> Complex:
 
 def minimal_nonfaces(k: Complex) -> tuple[int, ...]:
     """Inclusion-minimal vertex sets of the ambient set contained in no
-    facet, i.e. minimal transversals of the facet complements."""
+    facet, i.e. minimal transversals of the facet complements (the holes).
+    Each branch takes a vertex of the first hole it has not yet hit, and
+    later siblings exclude it, so no set is reached twice.  A transversal
+    is minimal iff each of its vertices is the only chosen one in some
+    hole, and only those are kept."""
     if k.is_void:
         raise ValueError("void complex has no non-faces")
     full = (1 << k.n) - 1
@@ -212,7 +207,12 @@ def minimal_nonfaces(k: Complex) -> tuple[int, ...]:
     def branch(chosen: int, allowed: int, remaining: list[int]):
         rem = [h for h in remaining if not h & chosen]
         if not rem:
-            if not any(t & chosen == t for t in found if t != chosen):
+            private = 0
+            for h in holes:
+                hit = h & chosen
+                if not hit & (hit - 1):
+                    private |= hit
+            if private == chosen:
                 found.append(chosen)
             return
         hole = rem[0]
@@ -221,13 +221,7 @@ def minimal_nonfaces(k: Complex) -> tuple[int, ...]:
             allowed &= ~(1 << v)
 
     branch(0, full, holes)
-    # branching can emit non-minimal transversals; keep the minimal ones
-    found.sort(key=int.bit_count)
-    minimal: list[int] = []
-    for t in found:
-        if not any(m & t == m for m in minimal):
-            minimal.append(t)
-    return tuple(sorted(minimal))
+    return tuple(sorted(found))
 
 
 def alexander_dual(k: Complex) -> Complex:
@@ -326,7 +320,11 @@ def class_membership(k: Complex) -> dict:
     deficiency d_M used by the complex-level bounds."""
     if k.is_void:
         raise ValueError("void complex has no class data")
-    nonfaces = minimal_nonfaces(k)
+    return _membership(k, minimal_nonfaces(k))
+
+
+def _membership(k: Complex, nonfaces: tuple[int, ...]) -> dict:
+    """`class_membership` of a non-void k whose minimal non-faces are given."""
     d_f = max((t.bit_count() for t in nonfaces), default=0)
     d_m = k.n - min(f.bit_count() for f in k.facets)
     return {

@@ -6,11 +6,12 @@ All operations are pure; Graph values are immutable.  `canonical_form`
 names an isomorphism class by the graph6 word (a str) of one relabelling.
 
 Input is validated where it enters: `Graph(...)` checks range, loops and
-symmetry, and `from_edges`, `parse_graph6` and the generators and
-combinators below build through it.  Only `induced` and the search's
-vertex extension (`search._child`), whose adjacency is valid by
-construction from a valid graph, build through `_trusted_graph`, which
-skips those checks.
+symmetry, and `from_edges` and the generators and combinators below build
+through it.  `parse_graph6` checks the word itself (length, characters
+and header); its decode sets adj[i] and adj[j] together, only for
+i < j < n.  It, `induced` and the search's vertex extension
+(`search._child`), whose adjacency is valid by construction, build
+through `_trusted_graph`, which skips `Graph`'s checks.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def parse_graph6(text: str) -> Graph:
             if acc >> k & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    return _trusted_graph(n, tuple(adj))
 
 
 def _pack_graph6(cols: list[int]) -> str:

@@ -30,12 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .complexes import (
-    Complex,
-    class_membership,
-    independence_complex,
-    minimal_nonfaces,
-)
+from .complexes import Complex, _membership, independence_complex, minimal_nonfaces
 from .graphs import Graph, bits, graph_predicates, induced
 from .homology import GF2, BettiVector, FieldSpec, betti
 
@@ -154,8 +149,9 @@ def bisect_root(coeffs: tuple[int, ...], lo: int = 1, hi: int = 2) -> Enclosure:
 
 
 def _root_of_power(value: int, degree: int) -> Enclosure:
-    """Enclosure of value^(1/degree) for value in [1, 2^degree]."""
-    return bisect_root((-value,) + (0,) * (degree - 1) + (1,))
+    """Enclosure of value^(1/degree) for value in [1, 3^degree], a root of
+    x^degree - value on [1, 3]."""
+    return bisect_root((-value,) + (0,) * (degree - 1) + (1,), 1, 3)
 
 
 @lru_cache(maxsize=None)
@@ -474,7 +470,7 @@ def check_complex_bounds(k: Complex, field: FieldSpec = GF2) -> dict:
     b = bv.total()
     m = len(k.facets)
     nonfaces = minimal_nonfaces(k)
-    cls = class_membership(k)
+    cls = _membership(k, nonfaces)
     d_f = cls["min_nonface_max_size"]
     d_m = cls["max_facet_deficiency"]
     bounds = [

@@ -1,9 +1,11 @@
 """Exhaustive and streamed extremal search over small graphs.
 
 The internal generator extends each (n-1)-vertex class representative
-by one vertex in every way (`_children`), and keeps one canonical form
-per class.  It builds and labels only the children that pass three
-filters, each exact:
+by one vertex in every way, and keeps one canonical form per class.  A
+triangle-free child's new vertex has an independent set of the parent as
+its neighbourhood, so those come from the parent's independence complex.
+It builds and labels only the children that pass three filters, each
+exact:
 
 - Degree: the new vertex has the greatest degree in the child.
 - Tie: among the child's vertices of greatest degree, the new vertex has
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .complexes import independence_complex, neighbourhood_complex
+from .complexes import all_faces, independence_complex, neighbourhood_complex
 from .graphs import (
     Graph,
     Graph6Error,
@@ -79,18 +81,6 @@ CHECKPOINTED = ("max_value", "maximizers", "violations", "all_within_bound")
 # ---------------------------------------------------------------------------
 # isomorph-free generation
 
-def _children(parent: Graph, trifree: bool) -> Iterator[int]:
-    """Neighbourhood masks of the new vertex, one per one-vertex extension
-    of parent (no isomorphism dedup); with trifree, only those that keep
-    the child triangle-free.  `_child` builds the extension."""
-    for nb in range(1 << parent.n):
-        # the new vertex closes a triangle iff two of its neighbours are
-        # adjacent in the parent
-        if trifree and any(parent.adj[v] & nb for v in bits(nb)):
-            continue
-        yield nb
-
-
 def _child(parent: Graph, nb: int) -> Graph:
     """parent plus a new last vertex with neighbourhood nb."""
     adj = tuple(a | (nb >> v & 1) << parent.n for v, a in enumerate(parent.adj))
@@ -126,7 +116,7 @@ def _classes(n: int, trifree: bool) -> tuple[Graph, ...]:
         deg = [a.bit_count() for a in parent.adj]
         at_least = [sum(1 << v for v, k in enumerate(deg) if k >= j) for j in range(n + 1)]
         twins = _twin_classes(parent.adj)
-        for nb in _children(parent, trifree):
+        for nb in all_faces(independence_complex(parent)) if trifree else range(1 << parent.n):
             d = nb.bit_count()
             if at_least[d + 1] & ~nb or at_least[d] & nb:
                 continue
@@ -486,7 +476,7 @@ def _extensions_with_alpha(parents, min_alpha: int) -> Iterator[tuple[Graph | No
         full = parent.vertex_mask
         if alpha[full] + 1 < min_alpha:
             continue
-        for nb in _children(parent, False):
+        for nb in range(1 << parent.n):
             a = max(alpha[full], 1 + alpha[full & ~nb])
             yield (_child(parent, nb) if a >= min_alpha else None), a
 

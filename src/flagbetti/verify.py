@@ -22,9 +22,9 @@ from .graphs import complete, crown
 from .homology import GF2, GF3, RATIONALS, FieldSpec
 from .invariants import (
     Enclosure,
+    _root_of_power,
     beta_complete_closed,
     beta_crown_closed,
-    bisect_root,
     gamma_enclosure,
     hochster_beta,
     theta_enclosure,
@@ -38,11 +38,6 @@ CONSTRUCTION_BASES = [
     ("beta-general", (1794, 9), Decimal("2.299")),
     ("beta-triangle-free", (beta_crown_closed(18), 36), Decimal("2.070")),
 ]
-
-
-def _base_enclosure(value: int, degree: int) -> Enclosure:
-    """Enclosure of value^(1/degree), a root of x^degree - value on [1, 3]."""
-    return bisect_root((-value,) + (0,) * (degree - 1) + (1,), 1, 3)
 
 
 def _matches_3dp(enc: Enclosure, published: Decimal) -> bool:
@@ -81,7 +76,7 @@ def run_table1(field: FieldSpec) -> dict:
     }
     for name, (value, degree), published in CONSTRUCTION_BASES:
         engine = engine_values[name]
-        base = _base_enclosure(value, degree)
+        base = _root_of_power(value, degree)
         rows.append(
             {
                 "name": name,

@@ -38,6 +38,7 @@ from flagbetti.graphs import (
     induced,
 )
 from flagbetti.homology import betti, total_betti
+from flagbetti.search import enumerate_graphs
 from conftest import random_complex, random_graph
 from oracles import (
     alexander_dual_faces_oracle,
@@ -123,14 +124,16 @@ class TestFromGraphs:
             g = random_graph(rng, rng.randint(1, 7))
             d = dominance_complex(g)
             full = (1 << g.n) - 1
-            expect = {full ^ s for s in minimal_dominating_sets_oracle(g)}
-            # facets are the maximal such complements
-            assert set(d.facets) <= expect
-            assert all(any(e & f == e for f in d.facets) for e in expect)
+            # minimal dominating sets form an antichain, so every
+            # complement of one is a facet
+            assert set(d.facets) == {full ^ s for s in minimal_dominating_sets_oracle(g)}
 
     def test_dominance_cap(self):
         with pytest.raises(ValueError):
             dominance_complex(empty_graph(25))
+        # at the cap: the minimal dominating sets of K24 are its vertices
+        d = dominance_complex(complete(24))
+        assert d.facets == tuple(sorted(((1 << 24) - 1) ^ 1 << v for v in range(24)))
 
 
 class TestNonfacesAndDual:
@@ -140,6 +143,12 @@ class TestNonfacesAndDual:
             k = independence_complex(g)
             edges = {1 << u | 1 << v for u, v in g.edges()}
             assert set(minimal_nonfaces(k)) == edges
+
+    def test_independence_nonfaces_match_oracle_all_classes(self):
+        for n in range(7):
+            for g in enumerate_graphs(n, "all"):
+                k = independence_complex(g)
+                assert set(minimal_nonfaces(k)) == minimal_nonfaces_oracle(k), g
 
     def test_nonfaces_match_oracle(self, rng):
         for _ in range(30):

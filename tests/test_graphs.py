@@ -77,6 +77,20 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             encode_graph6(empty_graph(63))
 
+    def test_decoded_words_pass_checked_constructor(self):
+        # parse_graph6 builds without Graph's validation, so every word it
+        # accepts must decode to a graph that the validating constructor
+        # accepts unchanged; random words also set the padding bits
+        words = [encode_graph6(g) for n in range(6) for g in all_labelled_graphs(n)]
+        rng = random.Random(13)
+        for _ in range(300):
+            n = rng.randint(0, 62)
+            nbytes = (n * (n - 1) // 2 + 5) // 6
+            words.append(chr(n + 63) + "".join(chr(rng.randint(63, 126)) for _ in range(nbytes)))
+        for word in words:
+            g = parse_graph6(word)
+            assert Graph(g.n, g.adj) == g, word
+
 
 class TestGenerators:
     def test_complete(self):

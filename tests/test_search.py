@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from flagbetti import search
+from flagbetti.complexes import all_faces, independence_complex
 from flagbetti.graphs import (
     Graph,
     Graph6Error,
@@ -152,10 +153,12 @@ class TestEnumeration:
     def test_children_pass_checked_constructor(self, trifree):
         # _child builds without Graph's validation, so each child must be
         # a graph that the validating constructor accepts unchanged
+        # over the neighbourhoods that _classes and the n = 9 sweep extend by
         rng = random.Random(5)
         for _ in range(40):
             parent = random_graph(rng, rng.randint(0, 7), rng.random() / (3 if trifree else 1))
-            for nb in search._children(parent, trifree):
+            nbs = all_faces(independence_complex(parent)) if trifree else range(1 << parent.n)
+            for nb in nbs:
                 child = search._child(parent, nb)
                 assert Graph(child.n, child.adj) == child
                 assert tuple(a & parent.vertex_mask for a in child.adj[:-1]) == parent.adj

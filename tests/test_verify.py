@@ -3,7 +3,8 @@ from math import floor
 import pytest
 
 from flagbetti.homology import GF2
-from flagbetti.verify import CONSTRUCTION_BASES, _base_enclosure, run_table1
+from flagbetti.invariants import _root_of_power
+from flagbetti.verify import CONSTRUCTION_BASES, run_table1
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,7 @@ def test_construction_rows_print_three_decimals(table1):
 
 @pytest.mark.parametrize("value, degree", [vd for _, vd, _ in CONSTRUCTION_BASES])
 def test_base_enclosure_gives_exact_truncation(value, degree):
-    enc = _base_enclosure(value, degree)
+    enc = _root_of_power(value, degree)
     t = floor(enc.lo * 10**4)
     assert t == floor(enc.hi * 10**4)
     # t / 10^4 <= value^(1/degree) < (t + 1) / 10^4, in integers
