@@ -7,11 +7,11 @@ names an isomorphism class by the graph6 word (a str) of one relabelling.
 
 Input is validated where it enters: `Graph(...)` checks range, loops and
 symmetry, and `from_edges` and the generators and combinators below build
-through it.  `parse_graph6` checks the word itself (length, characters
-and header); its decode sets adj[i] and adj[j] together, only for
-i < j < n.  It, `induced` and the search's vertex extension
-(`search._child`), whose adjacency is valid by construction, build
-through `_trusted_graph`, which skips `Graph`'s checks.
+through it; `parse_graph6` checks the word (length, characters and
+header) instead.  It, `induced` and the search's vertex extension
+(`search._child`) build through `_trusted_graph`, which skips `Graph`'s
+checks, because their adjacency is valid by construction: the graph6
+decode sets adj[i] and adj[j] together, only for i < j < n.
 """
 
 from __future__ import annotations

@@ -151,9 +151,9 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("trifree", [False, True])
     def test_children_pass_checked_constructor(self, trifree):
-        # _child builds without Graph's validation, so each child must be
-        # a graph that the validating constructor accepts unchanged
-        # over the neighbourhoods that _classes and the n = 9 sweep extend by
+        # _child builds without Graph's validation, so each child, over
+        # the neighbourhoods that _classes and the n = 9 sweep extend by,
+        # must be a graph that the validating constructor accepts unchanged
         rng = random.Random(5)
         for _ in range(40):
             parent = random_graph(rng, rng.randint(0, 7), rng.random() / (3 if trifree else 1))
