@@ -202,9 +202,9 @@ def verify_cmd(ctx, suite):
               help="Abort on malformed graph6 lines.")
 @click.option("--tsv", is_flag=True, help="Emit one TSV line instead of JSON.")
 @click.option("--checkpoint", default=None, help="Checkpoint sidecar file.")
-@click.option("--resume-offset", default=0, type=int, show_default=True)
+@click.option("--resume", is_flag=True, help="Carry on the search saved in --checkpoint.")
 @click.pass_context
-def search_cmd(ctx, metric, graph_class, size, use_stdin, strict, tsv, checkpoint, resume_offset):
+def search_cmd(ctx, metric, graph_class, size, use_stdin, strict, tsv, checkpoint, resume):
     """Maximize a metric over a graph class or a graph6 stream."""
     cls = {"all": "all", "trifree": "triangle_free", "bip": "bipartite"}[graph_class]
     if use_stdin == (size is not None):
@@ -213,7 +213,7 @@ def search_cmd(ctx, metric, graph_class, size, use_stdin, strict, tsv, checkpoin
         metric, cls, n=size,
         graphs=stream_graph6(sys.stdin, strict=strict) if use_stdin else None,
         fieldspec=ctx.obj["field"], hochster_cap=ctx.obj["hochster_cap"],
-        checkpoint_path=checkpoint, resume_offset=resume_offset,
+        checkpoint_path=checkpoint, resume=resume,
     )
     if tsv:
         click.echo(report.to_tsv_line())

@@ -332,13 +332,35 @@ def _refine_colors(g: Graph) -> list[int]:
         sig = new
 
 
+def _twin_classes(adj: tuple[int, ...]) -> list[int]:
+    """Vertex masks of the classes of two or more twins: vertices whose
+    neighbourhoods agree apart from each other.  Such a class is a clique
+    of vertices with one closed neighbourhood or an independent set of
+    vertices with one open neighbourhood, and no open neighbourhood equals
+    another vertex's closed one, so one dict keyed by both finds them."""
+    groups: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        bit = 1 << v
+        groups[a] = groups.get(a, 0) | bit
+        groups[a | bit] = groups.get(a | bit, 0) | bit
+    return [m for m in groups.values() if m & (m - 1)]
+
+
 def _min_code(g: Graph, colors: list[int]) -> list[int]:
     """Lexicographically minimal column-code sequence over all
     colour-respecting vertex orderings.  Code entry k is the adjacency of
     the vertex placed at position k to the already-placed vertices, as a
-    bitmask: column k of the relabelled graph's graph6 upper triangle."""
+    bitmask: column k of the relabelled graph's graph6 upper triangle.
+
+    Swapping two twins is an automorphism, so twins share a colour and,
+    while unplaced, a code; only the lowest-indexed unplaced member of a
+    twin class is tried at each position."""
     n = g.n
     slot_color = sorted(colors)
+    lower_twins = [0] * n
+    for t in _twin_classes(g.adj):
+        for v in bits(t):
+            lower_twins[v] = t & ((1 << v) - 1)
     placed = [0] * n
     order: list[int] = []
     best_codes: list[int] = []
@@ -352,7 +374,7 @@ def _min_code(g: Graph, colors: list[int]) -> list[int]:
             return
         cands = []
         for v in range(n):
-            if used >> v & 1 or colors[v] != slot_color[k]:
+            if used >> v & 1 or colors[v] != slot_color[k] or lower_twins[v] & ~used:
                 continue
             code = 0
             for i in range(k):
@@ -360,21 +382,11 @@ def _min_code(g: Graph, colors: list[int]) -> list[int]:
                     code |= 1 << i
             cands.append((code, v))
         cands.sort()
-        tried = []
         for code, v in cands:
             # best may have improved inside an earlier sibling subtree,
             # so recompute the comparison state on every iteration
             if best_codes and placed[:k] == best_codes[:k] and code > best_codes[k]:
                 break
-            # skip interchangeable twins of an already-explored candidate
-            skip = False
-            for cw, w in tried:
-                if cw == code and not (g.adj[v] ^ g.adj[w]) & ~(1 << v | 1 << w):
-                    skip = True
-                    break
-            if skip:
-                continue
-            tried.append((code, v))
             placed[k] = code
             order.append(v)
             dfs(k + 1, used | 1 << v)

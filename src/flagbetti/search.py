@@ -36,13 +36,15 @@ import os
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Iterator
 
-from .complexes import all_faces, independence_complex, neighbourhood_complex
+from .complexes import all_faces, class_membership, independence_complex, neighbourhood_complex
 from .graphs import (
     Graph,
     Graph6Error,
     _trusted_graph,
+    _twin_classes,
     bits,
     canonical_form,
     empty_graph,
@@ -75,7 +77,6 @@ __all__ = [
 
 GENERATOR_CAPS = {"all": 8, "triangle_free": 10, "bipartite": 8, "connected": 8}
 CHECKPOINT_EVERY = 100_000
-CHECKPOINTED = ("max_value", "maximizers", "violations", "all_within_bound")
 
 
 # ---------------------------------------------------------------------------
@@ -85,20 +86,6 @@ def _child(parent: Graph, nb: int) -> Graph:
     """parent plus a new last vertex with neighbourhood nb."""
     adj = tuple(a | (nb >> v & 1) << parent.n for v, a in enumerate(parent.adj))
     return _trusted_graph(parent.n + 1, adj + (nb,))
-
-
-def _twin_classes(adj: tuple[int, ...]) -> list[int]:
-    """Vertex masks of the classes of two or more twins: vertices whose
-    neighbourhoods agree apart from each other.  Such a class is a clique
-    of vertices with one closed neighbourhood or an independent set of
-    vertices with one open neighbourhood, and no open neighbourhood equals
-    another vertex's closed one, so one dict keyed by both finds them."""
-    groups: dict[int, int] = {}
-    for v, a in enumerate(adj):
-        bit = 1 << v
-        groups[a] = groups.get(a, 0) | bit
-        groups[a | bit] = groups.get(a | bit, 0) | bit
-    return [m for m in groups.values() if m & (m - 1)]
 
 
 @lru_cache(maxsize=None)
@@ -250,14 +237,17 @@ def maximize(
     fieldspec: FieldSpec = GF2,
     hochster_cap: int = HOCHSTER_CAP,
     checkpoint_path: str | None = None,
-    resume_offset: int = 0,
+    resume: bool = False,
 ) -> SearchReport:
     """Evaluate metric on every graph of graph_class (a supplied one outside
     it is refused) and report the exact maximum, all maximizers (canonical
-    graph6), and the applicable theorem bound.  With resume_offset and
-    checkpoint_path, skip that many graphs and resume from their checkpoint."""
+    graph6), and the applicable theorem bound.  With checkpoint_path, save
+    the report as it goes; with resume too, restore the report saved there
+    and skip the input graphs it has examined."""
     if graph_class not in GENERATOR_CAPS:
         raise ValueError(f"unknown class {graph_class!r}; choose from {sorted(GENERATOR_CAPS)}")
+    if resume and not checkpoint_path:
+        raise ValueError("cannot resume without a checkpoint path")
     start = time.monotonic()
     check_class = graphs is not None and graph_class != "all"
     if graphs is None:
@@ -267,20 +257,16 @@ def maximize(
     fn = _metric_fn(metric, fieldspec, hochster_cap)
     trifree = graph_class in ("triangle_free", "bipartite")
     report = SearchReport(metric=metric, graph_class=graph_class, n=n or 0)
-    header = {"metric": metric, "class": graph_class, "field": str(fieldspec),
-              "offset": resume_offset}
+    field = str(fieldspec)
     seen_sizes: set[int] = set()
-    if checkpoint_path and resume_offset:
-        seen_sizes = _resume(checkpoint_path, header, report)
-    for offset, g in enumerate(graphs):
-        if offset < resume_offset:
-            continue
+    if resume:
+        seen_sizes = _resume(checkpoint_path, report, field, stream=n is None)
+    for g in islice(graphs, report.graphs_examined, None):
         if check_class and not graph_predicates(g)[f"is_{graph_class}"]:
             raise ValueError(f"graph {encode_graph6(g)} is not in class {graph_class!r}")
         value = fn(g)
         seen_sizes.add(g.n)
         report.graphs_examined += 1
-        header["offset"] = offset + 1
         bound_name, bound = growth_bound(metric, trifree, g.n)
         within = bound.holds_upper_bound(value)
         if value >= report.max_value or not within:
@@ -294,7 +280,7 @@ def maximize(
                 report.all_within_bound = False
                 report.violations.append({"graph6": g6, "value": value, "bound": bound_name})
         if checkpoint_path and report.graphs_examined % CHECKPOINT_EVERY == 0:
-            _write_checkpoint(checkpoint_path, header, report, seen_sizes)
+            _write_checkpoint(checkpoint_path, report, field, seen_sizes)
     if n is None and len(seen_sizes) == 1:
         (report.n,) = seen_sizes
     report.maximizers.sort()
@@ -302,37 +288,41 @@ def maximize(
         report.bound_name, report.bound = growth_bound(metric, trifree, report.n)
     report.wall_time = time.monotonic() - start
     if checkpoint_path:
-        _write_checkpoint(checkpoint_path, header, report, seen_sizes)
+        _write_checkpoint(checkpoint_path, report, field, seen_sizes)
     return report
 
 
-def _write_checkpoint(path: str, header: dict, report: SearchReport, sizes: set[int]) -> None:
-    """Save the search state after header["offset"] input graphs, with the
-    vertex counts seen so far.  The file is written beside path and
-    renamed over it, so it is never half written."""
+def _write_checkpoint(path: str, report: SearchReport, field: str, sizes: set[int]) -> None:
+    """Save the report so far, with its field and the vertex counts seen.
+    The file is written beside path and renamed over it, so it is never
+    half written."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as fh:
-        state = {key: getattr(report, key) for key in CHECKPOINTED}
-        json.dump({**header, **state, "sizes": sorted(sizes)}, fh)
+        json.dump({**report.to_json_dict(), "field": field, "sizes": sorted(sizes)}, fh)
         fh.write("\n")
     os.replace(tmp, path)
 
 
-def _resume(path: str, header: dict, report: SearchReport) -> set[int]:
-    """Load the state saved at path into report, if it is header's search,
-    and return the vertex counts it had seen."""
+def _resume(path: str, report: SearchReport, field: str, stream: bool) -> set[int]:
+    """Load the report saved at path into the fresh report, if it is the
+    same search, and return the vertex counts it had seen.  A stream learns
+    its n only at its end, so a stream's n is not compared."""
     try:
         with open(path, encoding="ascii") as fh:
             state = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot resume from checkpoint: {exc}") from None
-    saved = {key: state.get(key) for key in header}
-    if saved != header:
-        raise ValueError(f"cannot resume {header} from checkpoint {path} of {saved}")
-    missing = [key for key in (*CHECKPOINTED, "sizes") if key not in state]
+    keys = ("metric", "class", "field") if stream else ("metric", "class", "field", "n")
+    mine = {**report.to_json_dict(), "field": field}
+    wanted = {key: mine[key] for key in keys}
+    saved = {key: state.get(key) for key in keys}
+    if saved != wanted:
+        raise ValueError(f"cannot resume {wanted} from checkpoint {path} of {saved}")
+    restored = ("graphs_examined", "max_value", "maximizers", "violations", "all_within_bound")
+    missing = [key for key in (*restored, "sizes") if key not in state]
     if missing:
         raise ValueError(f"cannot resume from checkpoint {path}: it lacks {missing}")
-    for key in CHECKPOINTED:
+    for key in restored:
         setattr(report, key, state[key])
     return set(state["sizes"])
 
@@ -370,8 +360,6 @@ def conjecture_checks(
     complex_results = []
     counterexamples = []
     if complexes is not None:
-        from .complexes import class_membership
-
         for k in complexes:
             cls = class_membership(k)
             d = cls["min_nonface_max_size"]
@@ -382,7 +370,7 @@ def conjecture_checks(
                 entry["conjectured_bound_lo"] = float(enc.lo)
                 entry["conjectured_bound_hi"] = float(enc.hi)
                 entry["within_conjectured_bound"] = enc.holds_upper_bound(b)
-                proven = theta_small_enclosure(max(d, 2)) ** k.n
+                proven = theta_small_enclosure(d) ** k.n
                 entry["within_proven_bound"] = proven.holds_upper_bound(b)
                 if not entry["within_proven_bound"]:
                     counterexamples.append(entry)
@@ -429,10 +417,7 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     children's independence numbers: a child whose new vertex has
     neighbourhood nb has alpha = max(alpha[full], 1 + alpha[full & ~nb]).
     """
-    from fractions import Fraction
-
-    threshold = Fraction(n, 2) - 1
-    min_degree = int(threshold) + 1  # least integer degree above threshold
+    min_degree = n // 2  # least integer degree above n/2 - 1
     min_alpha = min_degree + 1
     cap = GENERATOR_CAPS["all"]
     if n <= cap:
@@ -458,7 +443,7 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
             violations.append({"graph6": encode_graph6(g), "degrees": bad})
     return {
         "n": n,
-        "threshold": float(threshold),
+        "threshold": n / 2 - 1,
         "graphs_examined": examined,
         "homology_computed": computed,
         "violations": violations,

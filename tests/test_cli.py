@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -291,10 +292,10 @@ class TestSearch:
         ck = str(tmp_path / "ck.json")
         res = invoke(runner, ["search", "--n", "4", "--checkpoint", ck])
         assert res.exit_code == 0
-        res = invoke(runner, ["search", "--n", "4", "--checkpoint", ck, "--resume-offset", "11"])
+        res = invoke(runner, ["search", "--n", "4", "--checkpoint", ck, "--resume"])
         assert res.exit_code == 0
         out = json.loads(res.output)
-        assert out["graphs_examined"] == 0
+        assert out["graphs_examined"] == 11
         assert out["max_value"] == 3 and out["maximizers"] == ["C~"]
 
     def test_resume_refuses_checkpoint_without_sizes(self, runner, tmp_path):
@@ -303,7 +304,7 @@ class TestSearch:
         payload = json.loads(ck.read_text())
         del payload["sizes"]
         ck.write_text(json.dumps(payload))
-        res = invoke(runner, ["search", "--n", "4", "--checkpoint", str(ck), "--resume-offset", "11"])
+        res = invoke(runner, ["search", "--n", "4", "--checkpoint", str(ck), "--resume"])
         assert res.exit_code == 2
         assert "lacks ['sizes']" in json.loads(res.stderr)["error"]
 
@@ -311,8 +312,32 @@ class TestSearch:
         ck = str(tmp_path / "ck.json")
         invoke(runner, ["search", "--n", "4", "--checkpoint", ck])
         res = invoke(runner, ["search", "--n", "4", "--class", "trifree",
-                              "--checkpoint", ck, "--resume-offset", "11"])
+                              "--checkpoint", ck, "--resume"])
         assert res.exit_code == 2
+        assert "cannot resume" in json.loads(res.stderr)["error"]
+
+    # a checkpoint in an older format: an input offset, no report fields
+    OLD_CHECKPOINT = {"metric": "b", "class": "all", "field": "gf2", "offset": 11, "max_value": 3,
+                      "maximizers": ["C~"], "violations": [], "all_within_bound": True, "sizes": [4]}
+
+    @pytest.mark.parametrize("setup, args", [
+        (None, ["--n", "5", "--resume"]),
+        (["--n", "4"], ["--n", "5", "--resume"]),
+        (OLD_CHECKPOINT, ["--n", "4", "--resume"]),
+        (OLD_CHECKPOINT, ["--stdin", "--resume"]),
+    ], ids=["no-checkpoint", "other-n", "old-format", "old-format-stdin"])
+    def test_resume_refusal_is_usage_error(self, runner, tmp_path, setup, args):
+        ck = tmp_path / "ck.json"
+        if isinstance(setup, list):
+            invoke(runner, ["search", *setup, "--checkpoint", str(ck)])
+        elif setup is not None:
+            ck.write_text(json.dumps(setup))
+        if setup is not None:
+            args = [*args, "--checkpoint", str(ck)]
+        res = invoke(runner, ["search", *args], input="Bo\n" * 20)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
         assert "cannot resume" in json.loads(res.stderr)["error"]
 
 
@@ -375,3 +400,25 @@ class TestCheck:
         assert json.loads(res.output)["field"] == "gf3"
         res = invoke(runner, ["--field", "bogus", "betti", "--graph6", "D~{"])
         assert res.exit_code == 2
+
+
+def test_readme_cli_options_exist():
+    # every --option on a `flagbetti <command>` line of the README's CLI
+    # block is an option of that command or of the group
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    group_opts = {o for p in main.params for o in (*p.opts, *p.secondary_opts)}
+    checked = 0
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        if "flagbetti" not in words:
+            continue
+        name, *rest = words[words.index("flagbetti") + 1:]
+        assert name in main.commands, line
+        opts = group_opts | {o for p in main.commands[name].params
+                             for o in (*p.opts, *p.secondary_opts)}
+        for word in rest:
+            if word.startswith("--"):
+                assert word in opts, line
+                checked += 1
+    assert checked

@@ -21,7 +21,7 @@ from flagbetti.graphs import (
     parse_graph6,
 )
 from flagbetti.homology import GF3
-from flagbetti.invariants import theta_power
+from flagbetti.invariants import b_graph, theta_power
 from flagbetti.search import (
     GENERATOR_CAPS,
     conjecture_checks,
@@ -231,25 +231,60 @@ class TestMaximize:
         path = tmp_path / "ck.json"
         rep = maximize("b", "all", n=5, checkpoint_path=str(path))
         payload = json.loads(path.read_text())
-        assert payload["offset"] == rep.graphs_examined == 34
+        assert payload["graphs_examined"] == rep.graphs_examined == 34
         assert payload["max_value"] == 4
         assert payload["maximizers"] == rep.maximizers
+        assert (payload["n"], payload["field"], payload["sizes"]) == (5, "gf2", [5])
 
-    def test_resume_offset_skips(self):
-        rep = maximize("b", "all", n=5, resume_offset=30)
-        assert rep.graphs_examined == 4
+    @pytest.mark.parametrize("stream", [False, True], ids=["generator", "stream"])
+    @pytest.mark.parametrize("stop, saved", [(50, 50), (99, 50), (120, 100), (156, 156)])
+    def test_resume_matches_uninterrupted_search(self, monkeypatch, tmp_path, stream, stop, saved):
+        # the search is cut after `stop` homology calls; the n = 6 search
+        # examines 156 classes, so stop = 156 leaves a finished checkpoint
+        words = [encode_graph6(g) + "\n" for g in enumerate_graphs(6, "all")]
+        path = str(tmp_path / "ck.json")
+
+        def run(**kwargs):
+            if stream:
+                return maximize("b", graphs=stream_graph6(words), checkpoint_path=path, **kwargs)
+            return maximize("b", n=6, checkpoint_path=path, **kwargs)
+
+        whole = run().to_json_dict()
+        calls = []
+        limit = stop
+
+        def cut(g, fieldspec):
+            if len(calls) == limit:
+                raise KeyboardInterrupt
+            calls.append(g)
+            return b_graph(g, fieldspec)
+
+        monkeypatch.setattr(search, "CHECKPOINT_EVERY", 50)
+        monkeypatch.setattr(search, "b_graph", cut)
+        if stop < whole["graphs_examined"]:
+            with pytest.raises(KeyboardInterrupt):
+                run()
+        else:
+            run()
+        assert json.loads((tmp_path / "ck.json").read_text())["graphs_examined"] == saved
+        calls.clear()
+        limit = None
+        resumed = run(resume=True).to_json_dict()
+        assert len(calls) == whole["graphs_examined"] - saved
+        del whole["wall_time"], resumed["wall_time"]
+        assert resumed == whole
 
     def test_resume_keeps_checkpointed_state(self, tmp_path):
         path = tmp_path / "ck.json"
         k5, empty5 = complete(5), empty_graph(5)
         maximize("b", graphs=[k5], checkpoint_path=str(path))
-        rep = maximize("b", graphs=[k5, empty5], checkpoint_path=str(path), resume_offset=1)
-        assert rep.graphs_examined == 1
+        rep = maximize("b", graphs=[k5, empty5], checkpoint_path=str(path), resume=True)
+        assert rep.graphs_examined == 2
         assert rep.max_value == 4
         assert rep.maximizers == ["D~{"]
         assert rep.all_within_bound and rep.violations == []
         payload = json.loads(path.read_text())
-        assert payload["offset"] == 2
+        assert payload["graphs_examined"] == 2
         assert payload["max_value"] == 4
         assert list(tmp_path.iterdir()) == [path]
 
@@ -258,8 +293,8 @@ class TestMaximize:
         graphs = [complete(5), empty_graph(5)]
         maximize("b", graphs=graphs, checkpoint_path=str(path))
         assert json.loads(path.read_text())["sizes"] == [5]
-        rep = maximize("b", graphs=graphs, checkpoint_path=str(path), resume_offset=2)
-        assert rep.graphs_examined == 0
+        rep = maximize("b", graphs=graphs, checkpoint_path=str(path), resume=True)
+        assert rep.graphs_examined == 2
         assert rep.n == 5 and rep.max_value == 4
         assert rep.bound_name == "b-le-theta^n" and rep.bound == theta_power(5)
         assert rep.to_json_dict()["bound_lo"] == 4.0
@@ -271,7 +306,7 @@ class TestMaximize:
         del payload["sizes"]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="cannot resume .* lacks"):
-            maximize("b", graphs=[empty_graph(3)] * 2, checkpoint_path=str(path), resume_offset=1)
+            maximize("b", graphs=[empty_graph(3)] * 2, checkpoint_path=str(path), resume=True)
 
     def test_resume_restores_violations(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -281,7 +316,7 @@ class TestMaximize:
         payload.update(all_within_bound=False, violations=[violation])
         path.write_text(json.dumps(payload))
         rep = maximize("b", graphs=[complete(5), empty_graph(5)],
-                       checkpoint_path=str(path), resume_offset=1)
+                       checkpoint_path=str(path), resume=True)
         assert not rep.all_within_bound
         assert rep.violations == [violation]
 
@@ -289,19 +324,21 @@ class TestMaximize:
         {"metric": "bneigh"},
         {"graph_class": "triangle_free"},
         {"fieldspec": GF3},
-        {"resume_offset": 2},
+        {"n": 4},
     ])
     def test_resume_refuses_other_search(self, tmp_path, change):
         path = str(tmp_path / "ck.json")
-        maximize("b", graphs=[empty_graph(3)], checkpoint_path=path)
-        kwargs = {"metric": "b", "resume_offset": 1, **change}
+        maximize("b", n=3, checkpoint_path=path)
+        kwargs = {"metric": "b", "n": 3, **change}
         with pytest.raises(ValueError, match="cannot resume"):
-            maximize(graphs=[empty_graph(3)] * 3, checkpoint_path=path, **kwargs)
+            maximize(checkpoint_path=path, resume=True, **kwargs)
 
     def test_resume_needs_the_checkpoint(self, tmp_path):
         with pytest.raises(ValueError, match="cannot resume"):
             maximize("b", graphs=[empty_graph(3)] * 2,
-                     checkpoint_path=str(tmp_path / "missing.json"), resume_offset=1)
+                     checkpoint_path=str(tmp_path / "missing.json"), resume=True)
+        with pytest.raises(ValueError, match="cannot resume without a checkpoint path"):
+            maximize("b", n=3, resume=True)
 
     def test_report_serialization(self):
         rep = maximize("b", "all", n=4)
@@ -392,7 +429,8 @@ class TestVanishingSweep:
                         best[mask] = max(best[mask], bin(s).count("1"))
             assert alpha == best
 
-    @pytest.mark.parametrize("n, examined, computed", [(0, 1, 0), (6, 156, 36), (7, 1044, 359)])
+    @pytest.mark.parametrize("n, examined, computed",
+                             [(0, 1, 0), (1, 1, 1), (6, 156, 36), (7, 1044, 359)])
     def test_counts(self, n, examined, computed):
         rep = flag_vanishing_sweep(n)
         assert (rep["graphs_examined"], rep["homology_computed"]) == (examined, computed)
