@@ -48,16 +48,6 @@ class FaceCapExceeded(RuntimeError):
         self.cap = cap
 
 
-def _prune_to_maximal(masks) -> tuple[int, ...]:
-    """Inclusion-maximal members, sorted for a deterministic representation."""
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
-    out: list[int] = []
-    for m in uniq:
-        if not any(m & f == m for f in out):
-            out.append(m)
-    return tuple(sorted(out))
-
-
 @dataclass(frozen=True)
 class Complex:
     """Simplicial complex given by its facet antichain over n vertices."""
@@ -66,20 +56,23 @@ class Complex:
     facets: tuple[int, ...]
 
     def __post_init__(self):
-        full = (1 << self.n) - 1
-        seen = set()
-        for f in self.facets:
-            if f & ~full:
-                raise ValueError("facet vertex out of range")
-            if f in seen:
-                raise ValueError("duplicate facet")
-            seen.add(f)
-        for f in self.facets:
-            for g in self.facets:
-                if f != g and f & g == f:
+        # One pass: strictly increasing facets have no duplicates, the
+        # first and last bound the rest (facets out of order are refused
+        # below anyway), and a proper subset is a smaller int, so only a
+        # facet before g can lie in g.
+        facets = self.facets
+        if self.n < 0:
+            raise ValueError(f"need n >= 0 vertices, got {self.n}")
+        if facets and (facets[0] < 0 or facets[-1] >> self.n):
+            raise ValueError("facet vertex out of range")
+        earlier: list[int] = []
+        for g in facets:
+            if earlier and earlier[-1] >= g:
+                raise ValueError("facets must be strictly increasing")
+            for f in earlier:
+                if f & g == f:
                     raise ValueError("facets must form an antichain")
-        if list(self.facets) != sorted(self.facets):
-            raise ValueError("facets must be sorted")
+            earlier.append(g)
 
     @property
     def is_void(self) -> bool:
@@ -109,9 +102,14 @@ EMPTY = Complex(0, (0,))
 
 
 def from_facets(n: int, face_sets) -> Complex:
-    """Complex generated by the given vertex sets (iterables or bitmasks)."""
-    masks = [f if isinstance(f, int) else sum(1 << v for v in set(f)) for f in face_sets]
-    return Complex(n, _prune_to_maximal(masks))
+    """Complex generated by the given vertex sets (iterables or bitmasks):
+    its facets are their inclusion-maximal members, sorted."""
+    masks = {f if isinstance(f, int) else sum(1 << v for v in set(f)) for f in face_sets}
+    facets: list[int] = []
+    for m in sorted(masks, key=lambda m: (m.bit_count(), m), reverse=True):
+        if not any(m & f == m for f in facets):
+            facets.append(m)
+    return Complex(n, tuple(sorted(facets)))
 
 
 def simplex(n: int) -> Complex:
@@ -165,10 +163,8 @@ def neighbourhood_complex(g: Graph) -> Complex:
     if not nonisolated:
         return VOID
     pos = {v: i for i, v in enumerate(nonisolated)}
-    gen = []
-    for v in nonisolated:
-        gen.append(sum(1 << pos[u] for u in bits(g.adj[v])))
-    return Complex(len(nonisolated), _prune_to_maximal(gen))
+    gen = [sum(1 << pos[u] for u in bits(g.adj[v])) for v in nonisolated]
+    return from_facets(len(nonisolated), gen)
 
 
 def dominance_complex(g: Graph) -> Complex:
@@ -273,16 +269,14 @@ def link(k: Complex, v: int) -> Complex:
         raise ValueError("invalid vertex for link")
     if not any(f >> v & 1 for f in k.facets):
         raise ValueError(f"{v} is not a vertex of any face")
-    members = [_drop_vertex(f, v) for f in k.facets if f >> v & 1]
-    return Complex(k.n - 1, _prune_to_maximal(members))
+    return from_facets(k.n - 1, [_drop_vertex(f, v) for f in k.facets if f >> v & 1])
 
 
 def delete_vertex(k: Complex, v: int) -> Complex:
     """Subcomplex of faces avoiding v, on the ambient set minus v."""
     if k.is_void or not 0 <= v < k.n:
         raise ValueError("invalid vertex for deletion")
-    members = [_drop_vertex(f & ~(1 << v), v) for f in k.facets]
-    return Complex(k.n - 1, _prune_to_maximal(members))
+    return from_facets(k.n - 1, [_drop_vertex(f & ~(1 << v), v) for f in k.facets])
 
 
 def _drop_vertex(mask: int, v: int) -> int:
@@ -373,7 +367,7 @@ def read_facet_file(text: str) -> Complex:
             raise ValueError(f"bad facet on line {i}") from None
         if any(not 0 <= v < n for v in verts):
             raise ValueError(f"vertex out of range on line {i}")
-        facets.append(sum(1 << v for v in verts))
+        facets.append(verts)
     if not facets:
         raise ValueError("facet file has no facets; use 'void' or 'empty'")
     return from_facets(n, facets)

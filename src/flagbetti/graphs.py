@@ -111,6 +111,7 @@ def from_edges(n: int, edges) -> Graph:
 
 class Graph6Error(ValueError):
     def __init__(self, message: str, offset: int | None = None):
+        self.reason = message
         self.offset = offset
         if offset is not None:
             message = f"{message} (byte offset {offset})"

@@ -75,7 +75,7 @@ __all__ = [
     "moon_moser_check",
 ]
 
-GENERATOR_CAPS = {"all": 8, "triangle_free": 10, "bipartite": 8, "connected": 8}
+GENERATOR_CAPS = {"all": 8, "triangle_free": 10, "bipartite": 10, "connected": 8}
 CHECKPOINT_EVERY = 100_000
 
 
@@ -167,7 +167,7 @@ def stream_graph6(lines: Iterable[str], strict: bool = True) -> Iterator[Graph]:
             yield parse_graph6(word)
         except Graph6Error as exc:
             if strict:
-                raise Graph6Error(f"line {lineno}: {exc}", exc.offset) from None
+                raise Graph6Error(f"line {lineno}: {exc.reason}", exc.offset) from None
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,8 @@ def maximize(
     it is refused) and report the exact maximum, all maximizers (canonical
     graph6), and the applicable theorem bound.  With checkpoint_path, save
     the report as it goes; with resume too, restore the report saved there
-    and skip the input graphs it has examined."""
+    and skip the input graphs it has examined (an input that ends before
+    them is refused)."""
     if graph_class not in GENERATOR_CAPS:
         raise ValueError(f"unknown class {graph_class!r}; choose from {sorted(GENERATOR_CAPS)}")
     if resume and not checkpoint_path:
@@ -259,9 +260,16 @@ def maximize(
     report = SearchReport(metric=metric, graph_class=graph_class, n=n or 0)
     field = str(fieldspec)
     seen_sizes: set[int] = set()
+    graphs = iter(graphs)
     if resume:
         seen_sizes = _resume(checkpoint_path, report, field, stream=n is None)
-    for g in islice(graphs, report.graphs_examined, None):
+        skipped = sum(1 for _ in islice(graphs, report.graphs_examined))
+        if skipped < report.graphs_examined:
+            raise ValueError(
+                f"cannot resume from checkpoint {checkpoint_path}: the input ends after "
+                f"{skipped} graphs, before the {report.graphs_examined} it had examined"
+            )
+    for g in graphs:
         if check_class and not graph_predicates(g)[f"is_{graph_class}"]:
             raise ValueError(f"graph {encode_graph6(g)} is not in class {graph_class!r}")
         value = fn(g)
@@ -303,6 +311,17 @@ def _write_checkpoint(path: str, report: SearchReport, field: str, sizes: set[in
     os.replace(tmp, path)
 
 
+# the fields a resume restores from a checkpoint, each with the test of its type
+_CHECKPOINT_FIELDS = {
+    "graphs_examined": lambda v: type(v) is int and v >= 0,
+    "max_value": lambda v: type(v) is int,
+    "maximizers": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "violations": lambda v: isinstance(v, list),
+    "all_within_bound": lambda v: isinstance(v, bool),
+    "sizes": lambda v: isinstance(v, list) and all(type(x) is int for x in v),
+}
+
+
 def _resume(path: str, report: SearchReport, field: str, stream: bool) -> set[int]:
     """Load the report saved at path into the fresh report, if it is the
     same search, and return the vertex counts it had seen.  A stream learns
@@ -312,17 +331,21 @@ def _resume(path: str, report: SearchReport, field: str, stream: bool) -> set[in
             state = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot resume from checkpoint: {exc}") from None
+    if not isinstance(state, dict):
+        raise ValueError(f"cannot resume from checkpoint {path}: it is not a JSON object")
     keys = ("metric", "class", "field") if stream else ("metric", "class", "field", "n")
     mine = {**report.to_json_dict(), "field": field}
     wanted = {key: mine[key] for key in keys}
     saved = {key: state.get(key) for key in keys}
     if saved != wanted:
         raise ValueError(f"cannot resume {wanted} from checkpoint {path} of {saved}")
-    restored = ("graphs_examined", "max_value", "maximizers", "violations", "all_within_bound")
-    missing = [key for key in (*restored, "sizes") if key not in state]
+    missing = [key for key in _CHECKPOINT_FIELDS if key not in state]
     if missing:
         raise ValueError(f"cannot resume from checkpoint {path}: it lacks {missing}")
-    for key in restored:
+    malformed = [key for key, valid in _CHECKPOINT_FIELDS.items() if not valid(state[key])]
+    if malformed:
+        raise ValueError(f"cannot resume from checkpoint {path}: malformed {malformed}")
+    for key in _CHECKPOINT_FIELDS.keys() - {"sizes"}:
         setattr(report, key, state[key])
     return set(state["sizes"])
 

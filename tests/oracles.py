@@ -62,6 +62,52 @@ def faces_oracle(k: Complex) -> list[int]:
     ]
 
 
+def complex_checks_oracle(n: int, facets) -> bool:
+    """Whether (n, facets) passes the four checks the Complex constructor
+    once made one after another: each facet lies within the n vertices, no
+    facet repeats, no facet lies in another, and the facets are sorted.  A
+    negative n fails, as its vertex mask (1 << n) - 1 cannot be formed."""
+    if n < 0:
+        return False
+    full = (1 << n) - 1
+    seen = set()
+    for f in facets:
+        if f & ~full or f in seen:
+            return False
+        seen.add(f)
+    for f in facets:
+        for g in facets:
+            if f != g and f & g == f:
+                return False
+    return list(facets) == sorted(facets)
+
+
+def _maximal_relabelled(faces: set[int], keep: list[int]) -> tuple[int, ...]:
+    """The inclusion-maximal members of a downward-closed set of faces
+    within the vertices keep, relabelled 0, 1, ... in the order of keep."""
+    maximal = [m for m in faces if not any((m | 1 << v) in faces for v in keep if not m >> v & 1)]
+    return tuple(sorted(sum(1 << i for i, v in enumerate(keep) if m >> v & 1) for m in maximal))
+
+
+def link_facets_oracle(k: Complex, v: int) -> tuple[int, ...]:
+    """Facets of the link of v: the faces through v, less v, on the other vertices."""
+    faces = {f & ~(1 << v) for f in faces_oracle(k) if f >> v & 1}
+    return _maximal_relabelled(faces, [u for u in range(k.n) if u != v])
+
+
+def deletion_facets_oracle(k: Complex, v: int) -> tuple[int, ...]:
+    """Facets of the deletion of v: the faces avoiding v, on the other vertices."""
+    faces = {f for f in faces_oracle(k) if not f >> v & 1}
+    return _maximal_relabelled(faces, [u for u in range(k.n) if u != v])
+
+
+def neighbourhood_facets_oracle(g: Graph) -> tuple[int, ...]:
+    """Facets of the neighbourhood complex: the vertex sets lying in some
+    open neighbourhood, on the non-isolated vertices."""
+    faces = {m for m in range(1 << g.n) if any(m & a == m for a in g.adj if a)}
+    return _maximal_relabelled(faces, [v for v in range(g.n) if g.adj[v]])
+
+
 def squash(k: Complex) -> Complex:
     """The same complex on its used vertices only, relabelled in order."""
     used = [v for v in range(k.n) if any(f >> v & 1 for f in k.facets)]

@@ -320,18 +320,26 @@ class TestSearch:
     OLD_CHECKPOINT = {"metric": "b", "class": "all", "field": "gf2", "offset": 11, "max_value": 3,
                       "maximizers": ["C~"], "violations": [], "all_within_bound": True, "sizes": [4]}
 
+    # an n = 3 checkpoint whose maximizers are not a list
+    NULL_MAXIMIZERS = {"metric": "b", "class": "all", "field": "gf2", "n": 3, "graphs_examined": 1,
+                       "max_value": 0, "maximizers": None, "violations": [],
+                       "all_within_bound": True, "sizes": [3]}
+
     @pytest.mark.parametrize("setup, args", [
         (None, ["--n", "5", "--resume"]),
         (["--n", "4"], ["--n", "5", "--resume"]),
         (OLD_CHECKPOINT, ["--n", "4", "--resume"]),
         (OLD_CHECKPOINT, ["--stdin", "--resume"]),
-    ], ids=["no-checkpoint", "other-n", "old-format", "old-format-stdin"])
+        ("[1]", ["--n", "3", "--resume"]),
+        (NULL_MAXIMIZERS, ["--n", "3", "--resume"]),
+    ], ids=["no-checkpoint", "other-n", "old-format", "old-format-stdin", "not-an-object",
+            "null-maximizers"])
     def test_resume_refusal_is_usage_error(self, runner, tmp_path, setup, args):
         ck = tmp_path / "ck.json"
         if isinstance(setup, list):
             invoke(runner, ["search", *setup, "--checkpoint", str(ck)])
         elif setup is not None:
-            ck.write_text(json.dumps(setup))
+            ck.write_text(setup if isinstance(setup, str) else json.dumps(setup))
         if setup is not None:
             args = [*args, "--checkpoint", str(ck)]
         res = invoke(runner, ["search", *args], input="Bo\n" * 20)
@@ -339,6 +347,24 @@ class TestSearch:
         assert res.stdout == ""
         assert res.stderr.count("\n") == 1
         assert "cannot resume" in json.loads(res.stderr)["error"]
+
+    def test_resume_refuses_short_stream(self, runner, tmp_path):
+        # the n = 4 checkpoint has examined 11 graphs; a 2-line stream ends first
+        ck = str(tmp_path / "ck.json")
+        invoke(runner, ["search", "--n", "4", "--checkpoint", ck])
+        res = invoke(runner, ["search", "--stdin", "--checkpoint", ck, "--resume"],
+                     input="D~{\nD??\n")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
+        assert "the input ends after 2 graphs" in json.loads(res.stderr)["error"]
+        # a stream at least as long resumes, even a different one: only the
+        # words after the first 11 are examined
+        res = invoke(runner, ["search", "--stdin", "--checkpoint", ck, "--resume"],
+                     input="C?\n" * 11 + "D~{\n")
+        assert res.exit_code == 0
+        out = json.loads(res.output)
+        assert (out["graphs_examined"], out["max_value"]) == (12, 4)
 
 
 class TestConstants:

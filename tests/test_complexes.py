@@ -42,11 +42,15 @@ from flagbetti.search import enumerate_graphs
 from conftest import random_complex, random_graph
 from oracles import (
     alexander_dual_faces_oracle,
+    complex_checks_oracle,
+    deletion_facets_oracle,
     faces_oracle,
     independent_sets_oracle,
     maximal_independent_sets_oracle,
     minimal_dominating_sets_oracle,
     minimal_nonfaces_oracle,
+    link_facets_oracle,
+    neighbourhood_facets_oracle,
     squash,
 )
 
@@ -66,6 +70,29 @@ class TestBasics:
             Complex(2, (3, 1))
         with pytest.raises(ValueError):
             Complex(1, (2,))
+
+    def test_checks_match_oracle(self, rng):
+        # random tuples, sorted or not, with and without repeated facets
+        accepted = 0
+        for _ in range(20_000):
+            n = rng.randint(0, 5)
+            facets = [rng.randint(-2, 1 << (n + 1)) for _ in range(rng.randint(0, 5))]
+            if facets and rng.random() < 0.3:
+                facets.insert(rng.randrange(len(facets) + 1), rng.choice(facets))
+            if rng.random() < 0.5:
+                facets.sort()
+            ok = complex_checks_oracle(n, facets)
+            accepted += ok
+            try:
+                Complex(n, tuple(facets))
+            except ValueError:
+                assert not ok, (n, facets)
+            else:
+                assert ok, (n, facets)
+        assert 2_000 < accepted < 18_000
+        assert not complex_checks_oracle(-1, ())
+        with pytest.raises(ValueError):
+            Complex(-1, ())
 
     def test_from_facets_prunes(self):
         k = from_facets(3, [[0], [0, 1], [2]])
@@ -215,6 +242,22 @@ class TestOperations:
                 rest = induced(g, g.vertex_mask & ~(g.adj[v] | 1 << v))
                 assert squash(lk) == squash(independence_complex(rest))
 
+    def test_link_delete_neighbourhood_match_oracle(self, rng):
+        ks = [random_complex(rng, rng.randint(1, 7), rng.randint(1, 6)) for _ in range(60)]
+        for n in range(7):
+            for g in enumerate_graphs(n, "all"):
+                expect = neighbourhood_facets_oracle(g)
+                nb = neighbourhood_complex(g)
+                assert (nb.n, nb.facets) == (sum(1 for a in g.adj if a), expect), g
+                ks.append(independence_complex(g))
+        for k in ks:
+            for v in range(k.n):
+                dl = delete_vertex(k, v)
+                assert (dl.n, dl.facets) == (k.n - 1, deletion_facets_oracle(k, v)), (k, v)
+                if k.has_face(1 << v):
+                    lk = link(k, v)
+                    assert (lk.n, lk.facets) == (k.n - 1, link_facets_oracle(k, v)), (k, v)
+
     def test_skeleton_betti(self):
         # s-skeleton of the (k)-simplex has b_s = C(k, s+1)
         from math import comb
@@ -299,6 +342,10 @@ class TestFacetFiles:
         text = write_facet_file(from_facets(3, [[0, 2], [1]]))
         assert text == "n 3\n1\n0 2\n"
         assert write_facet_file(Complex(2, ())) == "n 2\nvoid\n"
+
+    def test_facet_line_is_a_vertex_set(self):
+        # a repeated vertex counts once: the line 0 0 1 is the facet {0, 1}
+        assert read_facet_file("n 3\n0 0 1\n").facets == (3,)
 
     def test_read_errors(self):
         with pytest.raises(ValueError, match="n <count>"):

@@ -40,9 +40,10 @@ from oracles import (
 )
 
 # number of graphs on n unlabelled vertices, n = 0..7, and of triangle-free
-# ones, n = 0..10 (OEIS A000088, A006785)
+# and bipartite ones, n = 0..10 (OEIS A000088, A006785, A033995)
 GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]
 TRIFREE_COUNTS = [1, 1, 2, 3, 7, 14, 38, 107, 410, 1897, 12172]
+BIPARTITE_COUNTS = [1, 1, 2, 3, 7, 13, 35, 88, 303, 1119, 5479]
 
 # sha256 of the graph6 words of enumerate_graphs(n, cls) joined by newlines,
 # first 16 hex digits, for n = 0, 1, ...
@@ -54,7 +55,7 @@ ENUMERATION_HASHES = {
                      "aaba44a2a1560e00 fdd0a7a6ffdab7dc 7c0f4fc251aa0f1a",
     "bipartite": "8a8de823d5ed3e12 c3641f8544d7c02f 66f7cc5c004391e3 7fb81607637af873 "
                  "7c580e1385be1216 57c9b24cf0188288 e42b6b38f601544e fb947b5ba7c21cea "
-                 "3c67a4732efd9328",
+                 "3c67a4732efd9328 0bfd80857d52efd4 6f712bdc06407c31",
     "connected": "8a8de823d5ed3e12 c3641f8544d7c02f ada8d598e51a0bf0 2c1256ffd0617e16 "
                  "385eb414892a1ce8 b5a909588a35cf30 7141e34866633118 12ef460a0a493012",
 }
@@ -68,6 +69,10 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(len(TRIFREE_COUNTS)))
     def test_counts_triangle_free(self, n):
         assert len(enumerate_graphs(n, "triangle_free")) == TRIFREE_COUNTS[n]
+
+    @pytest.mark.parametrize("n", range(len(BIPARTITE_COUNTS)))
+    def test_counts_bipartite(self, n):
+        assert len(enumerate_graphs(n, "bipartite")) == BIPARTITE_COUNTS[n]
 
     def test_bipartite_subset_of_triangle_free(self):
         bip = {encode_graph6(g) for g in enumerate_graphs(5, "bipartite")}
@@ -188,8 +193,13 @@ class TestStreaming:
 
     def test_strict_names_line(self):
         lines = ["Bw\n", "!!bad\n", "A_\n"]
-        with pytest.raises(Graph6Error, match="line 2"):
+        with pytest.raises(Graph6Error) as err:
             list(stream_graph6(lines, strict=True))
+        assert str(err.value) == "line 2: invalid length character (byte offset 0)"
+        with pytest.raises(Graph6Error) as err:
+            list(stream_graph6(["D~{\n", "D~{{\n"], strict=True))
+        assert str(err.value) == "line 2: trailing garbage after graph6 word (byte offset 3)"
+        assert err.value.offset == 3
 
     def test_lenient_skips(self):
         lines = ["Bw\n", "!!bad\n", "A_\n"]
