@@ -15,11 +15,21 @@ Homology runs only on the connected, fold-irreducible parts.  The
 unreduced path, `betti(independence_complex(g), field)`, stays the
 oracle the reductions are tested against.
 
+`hochster_beta` fills one table of Betti vectors, one per vertex subset
+in ascending order, by the paper's deletion sequence
+Ind(G) = Ind(G - v) u v * Ind(G - N[v]).  The vector of G is that of
+G - v plus that of G - N[v] one degree up whenever the inclusion of
+Ind(G - N[v]) into Ind(G - v) is zero in homology, and two conditions
+prove it is: the two vectors have disjoint supports, or some neighbour
+of v is dominated by v.  Only the subsets where both fail reach
+`betti_graph`.
+
 All bound comparisons pit an exact integer against a rational interval
 enclosing the (usually irrational) right-hand side, so a reported
 violation can never be a floating-point artifact.  Every growth base is
 the root of a polynomial with integer coefficients, and `bisect_root`
-encloses it to width 2^-120 by an exact integer bisection.
+encloses it to width 2^-120 by an exact integer bisection, which a
+floating-point estimate may only narrow once exact evaluation confirms it.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ __all__ = [
     "check_complex_bounds",
 ]
 
-HOCHSTER_CAP = 14
+HOCHSTER_CAP = 18
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +133,11 @@ def bisect_root(coeffs: tuple[int, ...], lo: int = 1, hi: int = 2) -> Enclosure:
     terms), and returns [k, k+1] / 2^120, of width 2^-120, or an exact
     enclosure where p vanishes at a probed point.  When hi - lo is a power
     of two, as for [1, 2], every midpoint (a + b) // 2 is exact, so the
-    endpoints are those of the bisection by exact dyadic midpoints."""
+    endpoints are those of the bisection by exact dyadic midpoints.  When
+    the coefficients change sign once, p has one positive root, so the
+    bisection's final [k, k+1] is the only one with p(k) < 0 < p(k+1): an
+    estimate of k by `_root_estimate` that passes that exact test is taken
+    as it is, and one that fails leaves the bisection to run in full."""
     scale, deg = 1 << 120, len(coeffs) - 1
     terms = [(i, c * scale ** (deg - i)) for i, c in reversed(list(enumerate(coeffs))) if c]
 
@@ -139,6 +153,17 @@ def bisect_root(coeffs: tuple[int, ...], lo: int = 1, hi: int = 2) -> Enclosure:
         raise ValueError("root not bracketed")
     if va == 0 or vb == 0:
         return Enclosure.exact(lo if va == 0 else hi)
+    signs = [c > 0 for c in coeffs if c]
+    if sum(x != y for x, y in zip(signs, signs[1:])) == 1:
+        # Descartes: one sign change, so p has one positive root, a simple
+        # one, and exactly one k in [a, b) has value(k) < 0 < value(k + 1)
+        k = _root_estimate(coeffs, lo, hi, scale)
+        if k is not None and a <= k < b:
+            vk, vk1 = value(k), value(k + 1)
+            if vk == 0 or vk1 == 0:
+                return Enclosure.exact(Fraction(k if vk == 0 else k + 1, scale))
+            if vk < 0 < vk1:
+                a, b = k, k + 1
     while b - a > 1:
         mid = (a + b) // 2
         v = value(mid)
@@ -146,6 +171,37 @@ def bisect_root(coeffs: tuple[int, ...], lo: int = 1, hi: int = 2) -> Enclosure:
             return Enclosure.exact(Fraction(mid, scale))
         a, b = (mid, b) if v < 0 else (a, mid)
     return Enclosure(Fraction(a, scale), Fraction(b, scale))
+
+
+def _root_estimate(coeffs: tuple[int, ...], lo: int, hi: int, scale: int) -> int | None:
+    """An estimate of floor(r * scale) for the root r in [lo, hi] of the
+    polynomial, p(lo) <= 0 <= p(hi), by a float bisection and three Newton
+    steps at 60 digits; None when the floats overflow or p' vanishes.  The
+    caller checks it by exact evaluation."""
+    try:
+        fc = [float(c) for c in reversed(coeffs)]
+    except OverflowError:
+        return None
+    x0, x1 = float(lo), float(hi)
+    for _ in range(60):
+        mid = (x0 + x1) / 2
+        acc = 0.0
+        for c in fc:
+            acc = acc * mid + c
+        x0, x1 = (mid, x1) if acc < 0 else (x0, mid)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dc = [Decimal(c) for c in reversed(coeffs)]
+        x = Decimal(x0)
+        for _ in range(3):
+            p = dp = Decimal(0)
+            for c in dc:
+                dp = dp * x + p
+                p = p * x + c
+            if not dp:
+                return None
+            x -= p / dp
+        return int(x * scale) if x.is_finite() else None
 
 
 def _root_of_power(value: int, degree: int) -> Enclosure:
@@ -365,22 +421,80 @@ class HochsterReport:
         }
 
 
+def _splice(a: tuple, b: tuple) -> tuple:
+    """The by_degree sum of a and of b shifted one degree up: the Betti
+    vector of Ind(G) from those of Ind(G - v) and Ind(G - N[v]) when the
+    inclusion of the second into the first is zero in homology."""
+    if not b:
+        return a
+    out = dict(a)
+    for d, x in b:
+        out[d + 1] = out.get(d + 1, 0) + x
+    return tuple(sorted(out.items()))
+
+
+def _disjoint_supports(a: tuple, b: tuple) -> bool:
+    """Whether no degree is non-zero in both by_degree vectors, so every
+    map from the homology of b's complex to a's is zero."""
+    return not {d for d, _ in a}.intersection([d for d, _ in b])
+
+
+def _dominated(adj: tuple[int, ...], w: int, v: int) -> bool:
+    """Whether some neighbour u of v in G[w] has N[u] inside N[v] within
+    w.  Then u has no neighbour in G[w] - N[v], so Ind(G[w] - N[v]) lies in
+    the cone u * Ind(G[w] - N[v]) inside Ind(G[w] - v), and its inclusion
+    is zero in homology (Adamaszek, JCTA 2012)."""
+    outside = w & ~adj[v] & ~(1 << v)
+    return any(not adj[u] & outside for u in bits(adj[v] & w))
+
+
 def hochster_beta(
     g: Graph, field: FieldSpec = GF2, cap: int = HOCHSTER_CAP
 ) -> HochsterReport:
-    """Sum of b over all 2^n induced subgraphs, by exact brute force.
+    """Sum of b over all 2^n induced subgraphs, from one table of their
+    reduced Betti vectors.
 
     Each vertex subset w adds b(G[w]) to the bucket of its size; sizes
-    whose subgraphs all have b = 0 get no bucket.  Graphs with more than
-    cap vertices are refused with a ValueError.
+    whose subgraphs all have b = 0 get no bucket.  The subsets are taken
+    in ascending order, and the vector of G[w] comes from the deletion
+    sequence at v, a vertex of greatest degree in G[w] (the lowest on
+    ties): Ind(G[w]) is Ind(G[w] - v) with the cone v * Ind(G[w] - N[v])
+    glued on, and both smaller subsets are already in the table.  When v
+    has no neighbour, Ind(G[w]) is a cone and the vector is zero.  When the
+    two vectors have disjoint supports, or some neighbour of v is dominated
+    by v, the inclusion Ind(G[w] - N[v]) -> Ind(G[w] - v) is zero in
+    homology over every field, and the long exact sequence gives the first
+    vector plus the second one degree up.  Only when both conditions fail
+    is G[w] handed to `betti_graph`.  Graphs with more than cap vertices
+    are refused with a ValueError.
     """
     if g.n > cap:
         raise ValueError(f"hochster sum refused for n={g.n} > cap={cap}")
-    hist: dict[int, int] = {}
-    for w in range(1 << g.n):
-        contrib = b_graph(induced(g, w), field)
-        if contrib:
-            hist[w.bit_count()] = hist.get(w.bit_count(), 0) + contrib
+    adj = g.adj
+    table = [()] * (1 << g.n)  # one shared empty tuple for every zero vector
+    table[0] = ((-1, 1),)  # the empty complex
+    hist = {0: 1}
+    seen: dict[tuple, tuple] = {}  # one copy of each distinct vector
+    for w in range(1, 1 << g.n):
+        v, top, rest = -1, 0, w
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            deg = (adj[u] & w).bit_count()
+            if deg > top:
+                v, top = u, deg
+        if not top:
+            continue
+        a, b = table[w & ~(1 << v)], table[w & ~adj[v] & ~(1 << v)]
+        if _disjoint_supports(a, b) or _dominated(adj, w, v):
+            vec = _splice(a, b)
+        else:
+            vec = betti_graph(induced(g, w), field).by_degree
+        if vec:
+            table[w] = vec = seen.setdefault(vec, vec)
+            size = w.bit_count()
+            hist[size] = hist.get(size, 0) + sum(x for _, x in vec)
     return HochsterReport(sum(hist.values()), hist)
 
 

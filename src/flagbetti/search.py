@@ -242,9 +242,10 @@ def maximize(
     """Evaluate metric on every graph of graph_class (a supplied one outside
     it is refused) and report the exact maximum, all maximizers (canonical
     graph6), and the applicable theorem bound.  With checkpoint_path, save
-    the report as it goes; with resume too, restore the report saved there
-    and skip the input graphs it has examined (an input that ends before
-    them is refused)."""
+    the report as it goes, with a sha256 digest of the graphs examined; with
+    resume too, restore the report saved there and skip the input graphs it
+    has examined.  An input that ends before them, or whose skipped graphs
+    do not give the saved digest, is refused."""
     if graph_class not in GENERATOR_CAPS:
         raise ValueError(f"unknown class {graph_class!r}; choose from {sorted(GENERATOR_CAPS)}")
     if resume and not checkpoint_path:
@@ -260,14 +261,27 @@ def maximize(
     report = SearchReport(metric=metric, graph_class=graph_class, n=n or 0)
     field = str(fieldspec)
     seen_sizes: set[int] = set()
+    digest = None
+    if checkpoint_path:
+        import hashlib  # here, not at the top: loading it adds about 5 ms to every start
+
+        digest = hashlib.sha256()
     graphs = iter(graphs)
     if resume:
-        seen_sizes = _resume(checkpoint_path, report, field, stream=n is None)
-        skipped = sum(1 for _ in islice(graphs, report.graphs_examined))
+        seen_sizes, saved = _resume(checkpoint_path, report, field, stream=n is None)
+        skipped = 0
+        for g in islice(graphs, report.graphs_examined):
+            _absorb(digest, g)
+            skipped += 1
         if skipped < report.graphs_examined:
             raise ValueError(
                 f"cannot resume from checkpoint {checkpoint_path}: the input ends after "
                 f"{skipped} graphs, before the {report.graphs_examined} it had examined"
+            )
+        if digest.hexdigest() != saved:
+            raise ValueError(
+                f"cannot resume from checkpoint {checkpoint_path}: the first "
+                f"{skipped} graphs of the input are not the ones it examined"
             )
     for g in graphs:
         if check_class and not graph_predicates(g)[f"is_{graph_class}"]:
@@ -275,6 +289,8 @@ def maximize(
         value = fn(g)
         seen_sizes.add(g.n)
         report.graphs_examined += 1
+        if digest is not None:
+            _absorb(digest, g)
         bound_name, bound = growth_bound(metric, trifree, g.n)
         within = bound.holds_upper_bound(value)
         if value >= report.max_value or not within:
@@ -288,7 +304,7 @@ def maximize(
                 report.all_within_bound = False
                 report.violations.append({"graph6": g6, "value": value, "bound": bound_name})
         if checkpoint_path and report.graphs_examined % CHECKPOINT_EVERY == 0:
-            _write_checkpoint(checkpoint_path, report, field, seen_sizes)
+            _write_checkpoint(checkpoint_path, report, field, seen_sizes, digest)
     if n is None and len(seen_sizes) == 1:
         (report.n,) = seen_sizes
     report.maximizers.sort()
@@ -296,17 +312,23 @@ def maximize(
         report.bound_name, report.bound = growth_bound(metric, trifree, report.n)
     report.wall_time = time.monotonic() - start
     if checkpoint_path:
-        _write_checkpoint(checkpoint_path, report, field, seen_sizes)
+        _write_checkpoint(checkpoint_path, report, field, seen_sizes, digest)
     return report
 
 
-def _write_checkpoint(path: str, report: SearchReport, field: str, sizes: set[int]) -> None:
-    """Save the report so far, with its field and the vertex counts seen.
-    The file is written beside path and renamed over it, so it is never
-    half written."""
+def _absorb(digest, g: Graph) -> None:
+    """Feed one examined graph, its n and adjacency, to the running digest."""
+    digest.update(repr((g.n, g.adj)).encode())
+
+
+def _write_checkpoint(path: str, report: SearchReport, field: str, sizes: set[int], digest) -> None:
+    """Save the report so far, with its field, the vertex counts seen and
+    the digest of the graphs examined.  The file is written beside path
+    and renamed over it, so it is never half written."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as fh:
-        json.dump({**report.to_json_dict(), "field": field, "sizes": sorted(sizes)}, fh)
+        json.dump({**report.to_json_dict(), "field": field, "sizes": sorted(sizes),
+                   "digest": digest.hexdigest()}, fh)
         fh.write("\n")
     os.replace(tmp, path)
 
@@ -319,13 +341,15 @@ _CHECKPOINT_FIELDS = {
     "violations": lambda v: isinstance(v, list),
     "all_within_bound": lambda v: isinstance(v, bool),
     "sizes": lambda v: isinstance(v, list) and all(type(x) is int for x in v),
+    "digest": lambda v: isinstance(v, str),
 }
 
 
-def _resume(path: str, report: SearchReport, field: str, stream: bool) -> set[int]:
+def _resume(path: str, report: SearchReport, field: str, stream: bool) -> tuple[set[int], str]:
     """Load the report saved at path into the fresh report, if it is the
-    same search, and return the vertex counts it had seen.  A stream learns
-    its n only at its end, so a stream's n is not compared."""
+    same search, and return the vertex counts it had seen and the digest
+    of the graphs it had examined.  A stream learns its n only at its end,
+    so a stream's n is not compared."""
     try:
         with open(path, encoding="ascii") as fh:
             state = json.load(fh)
@@ -345,9 +369,9 @@ def _resume(path: str, report: SearchReport, field: str, stream: bool) -> set[in
     malformed = [key for key, valid in _CHECKPOINT_FIELDS.items() if not valid(state[key])]
     if malformed:
         raise ValueError(f"cannot resume from checkpoint {path}: malformed {malformed}")
-    for key in _CHECKPOINT_FIELDS.keys() - {"sizes"}:
+    for key in _CHECKPOINT_FIELDS.keys() - {"sizes", "digest"}:
         setattr(report, key, state[key])
-    return set(state["sizes"])
+    return set(state["sizes"]), state["digest"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Everything here works from first principles (subset enumeration, dense
 elimination) and deliberately shares no code path with the library
-implementations it checks.
+implementations it checks.  Two are the library's own earlier routines,
+kept as the reference for what replaced them: the per-subset Hochster
+loop over `b_graph`, and the plain integer bisection.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from flagbetti.complexes import Complex
-from flagbetti.graphs import Graph, canonical_form, empty_graph, parse_graph6
+from flagbetti.graphs import Graph, canonical_form, empty_graph, induced, parse_graph6
+from flagbetti.invariants import b_graph
 
 
 def graph6_encode_oracle(g: Graph) -> str:
@@ -357,3 +360,46 @@ def bisect_root_oracle(poly, lo=Fraction(1), hi=Fraction(2), steps: int = 120):
         else:
             hi = mid
     return lo, hi
+
+
+def hochster_histogram_oracle(g: Graph, field) -> dict[int, int]:
+    """The per-size histogram of the Hochster sum by the loop the library
+    once ran: one `b_graph` call per vertex subset, 2^n in all, each
+    adding b(G[w]) to the bucket of |w| when it is non-zero."""
+    hist: dict[int, int] = {}
+    for w in range(1 << g.n):
+        contrib = b_graph(induced(g, w), field)
+        if contrib:
+            hist[w.bit_count()] = hist.get(w.bit_count(), 0) + contrib
+    return hist
+
+
+def integer_bisection_oracle(coeffs, lo: int = 1, hi: int = 2) -> tuple[Fraction, Fraction]:
+    """(lo, hi) of the root of sum coeffs[i] x^i in [lo, hi] by the plain
+    integer bisection `bisect_root` once ran alone: bisect the integers k
+    in [lo 2^120, hi 2^120] by the sign of 2^(120 deg) p(k / 2^120) until
+    [k, k+1] is left, or (r, r) when a probed point r is a root."""
+    scale, deg = 1 << 120, len(coeffs) - 1
+
+    terms = [(i, c * scale ** (deg - i)) for i, c in reversed(list(enumerate(coeffs))) if c]
+
+    def value(k: int) -> int:
+        acc, prev = 0, deg
+        for i, c in terms:
+            acc, prev = acc * k ** (prev - i) + c, i
+        return acc * k**prev
+
+    a, b = lo * scale, hi * scale
+    va, vb = value(a), value(b)
+    if not va <= 0 <= vb:
+        raise ValueError("root not bracketed")
+    if va == 0 or vb == 0:
+        r = Fraction(lo if va == 0 else hi)
+        return r, r
+    while b - a > 1:
+        mid = (a + b) // 2
+        v = value(mid)
+        if v == 0:
+            return Fraction(mid, scale), Fraction(mid, scale)
+        a, b = (mid, b) if v < 0 else (a, mid)
+    return Fraction(a, scale), Fraction(b, scale)

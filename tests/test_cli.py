@@ -10,6 +10,7 @@ from flagbetti.complexes import FaceCapExceeded, read_facet_file, write_facet_fi
 from flagbetti.constructions import fano_complex
 from flagbetti.graphs import empty_graph, encode_graph6, parse_graph6
 from flagbetti.invariants import Enclosure
+from flagbetti.search import enumerate_graphs
 
 
 @pytest.fixture
@@ -145,9 +146,10 @@ class TestBeta:
         assert out["beta_total"] == 6
 
     def test_cap_respected(self, runner):
-        word = encode_graph6(empty_graph(15))
+        word = encode_graph6(empty_graph(19))
         res = invoke(runner, ["beta", "--graph6", word])
         assert res.exit_code == 2
+        assert "n=19 > cap=18" in json.loads(res.stderr)["error"]
 
     def test_cap_zero_is_a_cap(self, runner):
         res = invoke(runner, ["--hochster-cap", "0", "beta", "--graph6", "D~{"])
@@ -358,10 +360,18 @@ class TestSearch:
         assert res.stdout == ""
         assert res.stderr.count("\n") == 1
         assert "the input ends after 2 graphs" in json.loads(res.stderr)["error"]
-        # a stream at least as long resumes, even a different one: only the
-        # words after the first 11 are examined
+        # a different stream at least as long is refused by the checkpoint's digest
         res = invoke(runner, ["search", "--stdin", "--checkpoint", ck, "--resume"],
                      input="C?\n" * 11 + "D~{\n")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
+        assert "the first 11 graphs of the input are not the ones it examined" in (
+            json.loads(res.stderr)["error"])
+        # the n = 4 classes in generator order resume: only the 12th word is examined
+        words = "".join(encode_graph6(g) + "\n" for g in enumerate_graphs(4))
+        res = invoke(runner, ["search", "--stdin", "--checkpoint", ck, "--resume"],
+                     input=words + "D~{\n")
         assert res.exit_code == 0
         out = json.loads(res.output)
         assert (out["graphs_examined"], out["max_value"]) == (12, 4)

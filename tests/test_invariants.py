@@ -16,6 +16,7 @@ from flagbetti.graphs import (
     empty_graph,
     encode_graph6,
     from_edges,
+    induced,
 )
 from flagbetti.homology import GF2, GF3, RATIONALS, BettiVector, betti, total_betti
 from flagbetti.invariants import (
@@ -38,7 +39,7 @@ from flagbetti.invariants import (
 )
 from flagbetti.search import enumerate_graphs
 from conftest import random_graph
-from oracles import bisect_root_oracle
+from oracles import bisect_root_oracle, hochster_histogram_oracle, integer_bisection_oracle
 
 
 class TestEnclosure:
@@ -76,6 +77,56 @@ class TestEnclosure:
     def test_bisect_exact_roots(self, coeffs, root):
         enc = bisect_root(coeffs)
         assert (enc.lo, enc.hi) == (root, root)
+
+    def test_warm_start_equals_integer_bisection(self):
+        """Endpoint for endpoint, bisect_root gives what the plain integer
+        bisection gives: on the four families up to d = 50, whose single
+        sign change lets the estimate narrow the bracket, and on
+        polynomials it does not, or cannot, narrow."""
+        scale = 1 << 120
+        one_sign_change = []
+        for d in range(1, 51):
+            one_sign_change += [
+                ((-d,) + (0,) * d + (1,), 1, 3),
+                ((-1,) * d + (0,) * d + (1,), 1, 2),
+                ((-1,) * d + (1,), 1, 2),
+            ]
+            if d >= 2:
+                one_sign_change.append(((-comb(2 * d, d - 1),) + (0,) * (2 * d) + (1,), 1, 3))
+        for coeffs, lo, hi in one_sign_change:
+            enc = bisect_root(coeffs, lo, hi)
+            assert (enc.lo, enc.hi) == integer_bisection_oracle(coeffs, lo, hi), coeffs
+            if enc.lo < enc.hi:  # the estimate was adopted, not bisected past
+                assert invariants._root_estimate(coeffs, lo, hi, scale) == enc.lo * scale
+        others = [
+            ((-336, 688, -467, 105), 1, 2),  # (3x - 4)(5x - 7)(7x - 12): three roots
+            ((-(scale + 1), scale), 1, 2),  # the exact root 1 + 2^-120
+            ((-5, 4), 1, 2),  # the exact root 5/4
+        ]
+        for coeffs, lo, hi in others:
+            enc = bisect_root(coeffs, lo, hi)
+            assert (enc.lo, enc.hi) == integer_bisection_oracle(coeffs, lo, hi), coeffs
+        assert bisect_root(*others[1]).lo == Fraction(scale + 1, scale)
+
+    @pytest.mark.parametrize("wrong", [
+        lambda k, a, b: None,
+        lambda k, a, b: k - 1,
+        lambda k, a, b: k + 1,
+        lambda k, a, b: a,
+        lambda k, a, b: b,
+        lambda k, a, b: a - 1,
+    ], ids=["none", "one-below", "one-above", "at-lo", "at-hi", "outside"])
+    def test_wrong_estimate_falls_through(self, monkeypatch, wrong):
+        """An estimate that fails the exact sign test, or lies outside the
+        bracket, leaves the plain bisection to run."""
+        estimate = invariants._root_estimate
+        monkeypatch.setattr(invariants, "_root_estimate",
+                            lambda c, lo, hi, s: wrong(estimate(c, lo, hi, s), lo * s, hi * s))
+        for coeffs, lo, hi in [((-1, -1, 1), 1, 2), ((-4,) + (0,) * 4 + (1,), 1, 3),
+                               ((-1,) * 7 + (0,) * 7 + (1,), 1, 2)]:
+            enc = bisect_root(coeffs, lo, hi)
+            assert (enc.lo, enc.hi) == integer_bisection_oracle(coeffs, lo, hi)
+            assert enc.hi - enc.lo == Fraction(1, 1 << 120)
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_enclosures_equal_fraction_bisection(self, d):
@@ -193,10 +244,61 @@ class TestGraphReductions:
 
 class TestHochster:
     def test_closed_forms(self):
-        for s in range(1, 8):
+        for s in range(1, 17):
             assert hochster_beta(complete(s)).beta_total == beta_complete_closed(s)
-        for s in range(1, 5):
+        for s in range(1, 9):
             assert hochster_beta(crown(s)).beta_total == beta_crown_closed(s)
+
+    @pytest.mark.parametrize("n, fields", [(n, (GF2, GF3, RATIONALS)) for n in range(7)] + [(7, (GF2,))])
+    def test_histogram_equals_oracle_on_classes(self, n, fields):
+        for g in enumerate_graphs(n):
+            for field in fields:
+                hist = hochster_histogram_oracle(g, field)
+                assert hochster_beta(g, field).per_subset_histogram == hist, (encode_graph6(g), field)
+
+    def test_histogram_equals_oracle_on_random_graphs(self, rng):
+        for i in range(20):
+            g = random_graph(rng, rng.randint(8, 12), rng.choice((0.2, 0.35, 0.5, 0.7)))
+            field = (GF2, GF3, RATIONALS)[i % 3]
+            hist = hochster_histogram_oracle(g, field)
+            assert hochster_beta(g, field).per_subset_histogram == hist, (encode_graph6(g), field)
+
+    @pytest.mark.parametrize("n, fields", [(n, (GF2, GF3, RATIONALS)) for n in range(7)] + [(7, (GF2,))])
+    def test_each_condition_alone_is_exact(self, n, fields):
+        """Wherever one of the two conditions holds at a vertex v, the
+        vector of G - v plus that of G - N[v] one degree up is G's.  From
+        n = 5 on, each condition is the only one to hold somewhere."""
+        alone = {"disjoint": 0, "dominated": 0}
+        for g in enumerate_graphs(n):
+            full = g.vertex_mask
+            for field in fields:
+                whole = betti_graph(g, field).by_degree
+                for v in range(n):
+                    a = betti_graph(induced(g, full & ~(1 << v)), field).by_degree
+                    b = betti_graph(induced(g, full & ~g.adj[v] & ~(1 << v)), field).by_degree
+                    disjoint = invariants._disjoint_supports(a, b)
+                    dominated = invariants._dominated(g.adj, full, v)
+                    if disjoint or dominated:
+                        assert invariants._splice(a, b) == whole, (encode_graph6(g), v, field)
+                    alone["disjoint"] += disjoint and not dominated
+                    alone["dominated"] += dominated and not disjoint
+        if n >= 5:
+            assert alone["disjoint"] and alone["dominated"]
+
+    def test_fallback_reaches_betti_graph(self, monkeypatch):
+        hist = hochster_histogram_oracle(cycle(13), GF2)
+        calls = []
+
+        def counting_betti_graph(g, field):
+            calls.append(g.n)
+            return betti_graph(g, field)
+
+        monkeypatch.setattr(invariants, "betti_graph", counting_betti_graph)
+        assert hochster_beta(cycle(13)).per_subset_histogram == hist
+        assert len(calls) == 8
+        calls.clear()
+        assert hochster_beta(crown(6)).beta_total == beta_crown_closed(6)
+        assert calls == []
 
     def test_known_values(self):
         assert beta_complete_closed(3) == 6
@@ -213,8 +315,8 @@ class TestHochster:
             )
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            hochster_beta(empty_graph(15))
+        with pytest.raises(ValueError, match="n=19 > cap=18"):
+            hochster_beta(empty_graph(19))
 
     def test_histogram_sums(self):
         rep = hochster_beta(complete(4))

@@ -234,8 +234,8 @@ class TestMaximize:
         assert rep.all_within_bound
 
     def test_beta_metric_refuses_over_cap(self):
-        with pytest.raises(ValueError, match="cap=14"):
-            maximize("beta", graphs=[empty_graph(15)])
+        with pytest.raises(ValueError, match="n=19 > cap=18"):
+            maximize("beta", graphs=[empty_graph(19)])
 
     def test_checkpointing(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -317,6 +317,22 @@ class TestMaximize:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="cannot resume .* lacks"):
             maximize("b", graphs=[empty_graph(3)] * 2, checkpoint_path=str(path), resume=True)
+
+    def test_resume_refuses_checkpoint_without_digest(self, tmp_path):
+        path = tmp_path / "ck.json"
+        maximize("b", graphs=[empty_graph(3)], checkpoint_path=str(path))
+        payload = json.loads(path.read_text())
+        del payload["digest"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"cannot resume .* lacks \['digest'\]"):
+            maximize("b", graphs=[empty_graph(3)] * 2, checkpoint_path=str(path), resume=True)
+
+    def test_resume_refuses_other_graphs(self, tmp_path):
+        path = tmp_path / "ck.json"
+        maximize("b", graphs=[complete(5), empty_graph(5)], checkpoint_path=str(path))
+        with pytest.raises(ValueError, match="the first 2 graphs of the input are not the ones"):
+            maximize("b", graphs=[empty_graph(5), complete(5), complete(5)],
+                     checkpoint_path=str(path), resume=True)
 
     def test_resume_restores_violations(self, tmp_path):
         path = tmp_path / "ck.json"
