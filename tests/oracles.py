@@ -364,14 +364,20 @@ def bisect_root_oracle(poly, lo=Fraction(1), hi=Fraction(2), steps: int = 120):
 
 def hochster_histogram_oracle(g: Graph, field) -> dict[int, int]:
     """The per-size histogram of the Hochster sum by the loop the library
-    once ran: one `b_graph` call per vertex subset, 2^n in all, each
-    adding b(G[w]) to the bucket of |w| when it is non-zero."""
+    once ran: b(G[w]) by `b_graph` for each of the 2^n vertex subsets w,
+    added to the bucket of |w| when it is non-zero.  Induced subgraphs
+    that recur as labelled graphs are looked up, not recomputed."""
     hist: dict[int, int] = {}
     for w in range(1 << g.n):
-        contrib = b_graph(induced(g, w), field)
+        contrib = _b_graph_memo(induced(g, w), field)
         if contrib:
             hist[w.bit_count()] = hist.get(w.bit_count(), 0) + contrib
     return hist
+
+
+@lru_cache(maxsize=1 << 16)
+def _b_graph_memo(g: Graph, field) -> int:
+    return b_graph(g, field)
 
 
 def integer_bisection_oracle(coeffs, lo: int = 1, hi: int = 2) -> tuple[Fraction, Fraction]:
