@@ -41,12 +41,32 @@ __all__ = [
 CANONICAL_CAP = 10
 
 
-def bits(mask: int):
-    """Yield the indices of set bits of mask, ascending."""
+def _bits_table(width: int) -> tuple[tuple[int, ...], ...]:
+    """bits(m) for every m < 2^width, as bits(2^t + m) = bits(m) + (t,)
+    for m < 2^t."""
+    table: list[tuple[int, ...]] = [()]
+    for top in range(width):
+        table += [low + (top,) for low in table]
+    return tuple(table)
+
+
+_BITS_TABLE = _bits_table(10)
+
+
+def bits(mask: int) -> tuple[int, ...] | list[int]:
+    """The indices of the set bits of mask, ascending: a tuple from a
+    table when mask < 2^10, a list otherwise.  A negative mask has
+    infinitely many set bits and raises ValueError."""
+    if not mask >> 10:
+        return _BITS_TABLE[mask]
+    if mask < 0:
+        raise ValueError(f"bits of a negative mask {mask}")
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -161,12 +181,15 @@ def _pack_graph6(cols: list[int]) -> str:
         raise Graph6Error(f"graph6 supports at most 62 vertices, got {n}")
     acc = 0
     for j, col in enumerate(cols):
-        for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
+        # column j is x(0,j) ... x(j-1,j), read from the top bit down
+        rev = 0
+        for i in bits(col):
+            rev |= 1 << (j - 1 - i)
+        acc = acc << j | rev
     nbits = n * (n - 1) // 2
     pad = -nbits % 6
     acc <<= pad
-    return chr(n + 63) + "".join(chr((acc >> s & 63) + 63) for s in range(nbits + pad - 6, -1, -6))
+    return chr(n + 63) + "".join([chr((acc >> s & 63) + 63) for s in range(nbits + pad - 6, -1, -6)])
 
 
 def encode_graph6(g: Graph) -> str:
@@ -307,30 +330,54 @@ def graph_predicates(g: Graph) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# canonical labelling (brute force with colour refinement pruning, n <= 10)
+# canonical labelling (n <= CANONICAL_CAP): colour refinement to an ordered
+# partition, then the least column codes over the orderings that respect it
 
-def _refine_colors(g: Graph) -> list[int]:
-    """Iterated degree refinement; returns invariant colour ranks.
+def _refine_cells(adj: tuple[int, ...]) -> list[int]:
+    """Ordered partition of iterated degree refinement, as vertex masks.
 
-    Each round ranks the vertices by (colour, sorted neighbour colours).
-    That tuple is computed as the neighbour counts in each colour class,
-    negated, in ascending colour order: vertices of one colour share a
-    degree, so their sorted tuples first differ at the lowest colour whose
-    counts differ, and the tuple holding more of it is the smaller.  The
-    first round that splits no class fixes the ranks."""
-    adj = g.adj
-    sig = [a.bit_count() for a in adj]
-    while True:
-        classes: dict[int, int] = {}
-        for v, s in enumerate(sig):
-            classes[s] = classes.get(s, 0) | 1 << v
-        masks = [classes[s] for s in sorted(classes)]
-        keys = [(s, tuple([-(a & m).bit_count() for m in masks])) for s, a in zip(sig, adj)]
-        ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [ranks[k] for k in keys]
-        if len(ranks) == len(classes):
-            return new
-        sig = new
+    The cells start as the degree classes, in ascending degree.  Each
+    round splits every cell at once by its vertices' neighbour counts in
+    the cells of the round before, in order, and orders the parts by
+    those counts, the part with more neighbours in an earlier cell first.
+    This is the order of (colour, sorted neighbour colours), since the
+    vertices of one cell share a degree.  A vertex's counts are one
+    integer, -count per cell in base n + 1, which orders as the count
+    sequences do.  Two vertices of one cell
+    already agree on every cell the last round did not create, so only
+    the new cells are counted.  The first round that splits nothing, or
+    a discrete partition, ends it."""
+    n = len(adj)
+    by_degree: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = fresh = [by_degree[d] for d in sorted(by_degree)]
+    base = n + 1
+    while len(cells) < n:
+        out: list[int] = []
+        born: list[int] = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            parts: dict[int, int] = {}
+            for v in bits(cell):
+                a = adj[v]
+                key = 0
+                for m in fresh:
+                    key = key * base - (a & m).bit_count()
+                parts[key] = parts.get(key, 0) | 1 << v
+            if len(parts) == 1:
+                out.append(cell)
+            else:
+                split = [parts[k] for k in sorted(parts)]
+                out += split
+                born += split
+        if not born:
+            break
+        cells, fresh = out, born
+    return cells
 
 
 def _twin_classes(adj: tuple[int, ...]) -> list[int]:
@@ -347,62 +394,107 @@ def _twin_classes(adj: tuple[int, ...]) -> list[int]:
     return [m for m in groups.values() if m & (m - 1)]
 
 
-def _min_code(g: Graph, colors: list[int]) -> list[int]:
-    """Lexicographically minimal column-code sequence over all
-    colour-respecting vertex orderings.  Code entry k is the adjacency of
-    the vertex placed at position k to the already-placed vertices, as a
-    bitmask: column k of the relabelled graph's graph6 upper triangle.
+def _min_code(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+    """Lexicographically least column-code sequence over the vertex
+    orderings that respect the ordered partition cells (positions are
+    filled cell by cell).  Code entry k is the adjacency of the vertex at
+    position k to the vertices before it, as a bitmask: column k of the
+    relabelled graph's graph6 upper triangle.
 
-    Swapping two twins is an automorphism, so twins share a colour and,
-    while unplaced, a code; only the lowest-indexed unplaced member of a
-    twin class is tried at each position."""
-    n = g.n
-    slot_color = sorted(colors)
+    A discrete partition allows one ordering, read off directly.
+    Otherwise a depth-first search keeps code[v], the adjacency of each
+    unplaced v to the prefix: placing a vertex at k sets bit k on its
+    unplaced neighbours, and backtracking clears it.  tight says the
+    prefix equals the best codes' prefix, so a larger candidate ends the
+    siblings.  Swapping two twins is an automorphism, so twins share a
+    cell and, while unplaced, a code; only the lowest-indexed unplaced
+    member of a twin class is tried at each position."""
+    n = len(adj)
+    if len(cells) == n:
+        pos = [0] * n
+        codes = []
+        before = 0
+        for k, cell in enumerate(cells):
+            v = cell.bit_length() - 1
+            pos[v] = k
+            c = 0
+            for u in bits(adj[v] & before):
+                c |= 1 << pos[u]
+            codes.append(c)
+            before |= cell
+        return codes
+    slot_cell = [cell for cell in cells for _ in range(cell.bit_count())]
     lower_twins = [0] * n
-    for t in _twin_classes(g.adj):
+    for t in _twin_classes(adj):
         for v in bits(t):
             lower_twins[v] = t & ((1 << v) - 1)
+    shift = n.bit_length()  # a candidate is code << shift | v
+    low = (1 << shift) - 1
+    code = [0] * n
     placed = [0] * n
-    order: list[int] = []
-    best_codes: list[int] = []
+    best: list[int] = []
 
-    def dfs(k: int, used: int):
-        nonlocal best_codes
-        if k == n:
-            # pruning guarantees we only reach leaves that are <= best
-            if not best_codes or placed[:n] < best_codes:
-                best_codes = placed[:n]
-            return
-        cands = []
-        for v in range(n):
-            if used >> v & 1 or colors[v] != slot_color[k] or lower_twins[v] & ~used:
-                continue
-            code = 0
-            for i in range(k):
-                if g.adj[v] >> order[i] & 1:
-                    code |= 1 << i
-            cands.append((code, v))
-        cands.sort()
-        for code, v in cands:
-            # best may have improved inside an earlier sibling subtree,
-            # so recompute the comparison state on every iteration
-            if best_codes and placed[:k] == best_codes[:k] and code > best_codes[k]:
+    def dfs(k: int, used: int, tight: bool) -> bool:
+        """Search below the prefix of length k; whether best improved.
+        Positions with one candidate are filled in a loop, not a call."""
+        nonlocal best
+        improved = False
+        undo = []
+        while True:
+            if k == n:
+                # a leaf no better than best is reached only equal to it
+                if not tight:
+                    best = placed[:]
+                    improved = True
                 break
-            placed[k] = code
-            order.append(v)
-            dfs(k + 1, used | 1 << v)
-            order.pop()
+            cands = [v for v in bits(slot_cell[k] & ~used) if not lower_twins[v] & ~used]
+            bit = 1 << k
+            if len(cands) == 1:
+                v = cands[0]
+                ck = code[v]
+                if tight:
+                    if ck > best[k]:
+                        break
+                    tight = ck == best[k]
+                placed[k] = ck
+                nbrs = bits(adj[v] & ~used)
+                for u in nbrs:
+                    code[u] |= bit
+                undo.append((nbrs, bit))
+                used |= 1 << v
+                k += 1
+                continue
+            for c in sorted([code[v] << shift | v for v in cands]):
+                ck = c >> shift
+                if tight and ck > best[k]:
+                    break
+                v = c & low
+                placed[k] = ck
+                nbrs = bits(adj[v] & ~used)
+                for u in nbrs:
+                    code[u] |= bit
+                if dfs(k + 1, used | 1 << v, tight and ck == best[k]):
+                    improved = tight = True
+                for u in nbrs:
+                    code[u] ^= bit
+            break
+        for nbrs, bit in undo:
+            for u in nbrs:
+                code[u] ^= bit
+        return improved
 
-    dfs(0, 0)
-    return best_codes
+    dfs(0, 0, False)
+    return best
 
 
 def canonical_form(g: Graph) -> str:
-    """graph6 word, as a str, of g canonically relabelled; equal for two
-    graphs iff they are isomorphic (n <= CANONICAL_CAP)."""
+    """graph6 word, as a str, of g canonically relabelled: the least
+    column codes over the orderings that respect g's refined colour
+    partition.  Equal for two graphs iff they are isomorphic (n <=
+    CANONICAL_CAP)."""
     if g.n > CANONICAL_CAP:
         raise ValueError(f"canonical labelling refused for n={g.n} > cap={CANONICAL_CAP}")
-    return _pack_graph6(_min_code(g, _refine_colors(g)))
+    return _pack_graph6(_min_code(g.adj, _refine_cells(g.adj)))
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -156,7 +156,7 @@ def _rank_sparse(m: list[int], p: int | None) -> int:
     signs = (Fraction(1), Fraction(-1)) if p is None else (1, p - 1)
     pivots: dict[int, dict[int, int | Fraction]] = {}  # lowest row -> reduced column
     for col in m:
-        v = {r: signs[i & 1] for i, r in enumerate(sorted(bits(col), reverse=True))}
+        v = {r: signs[i & 1] for i, r in enumerate(reversed(bits(col)))}
         while v:
             low = max(v)
             c = v[low]

@@ -363,7 +363,8 @@ def _fold(g: Graph) -> int | None:
             nv = adj[v] & live
             if not nv:
                 return None
-            for u in bits(live & ~(1 << v)):
+            # a neighbour u of v has v in N(u) - N(v), so cannot fold v
+            for u in bits(live & ~nv & ~(1 << v)):
                 if not adj[u] & live & ~nv:  # N(u) inside N(v): drop v
                     live &= ~(1 << v)
                     changed = True

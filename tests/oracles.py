@@ -2,9 +2,10 @@
 
 Everything here works from first principles (subset enumeration, dense
 elimination) and deliberately shares no code path with the library
-implementations it checks.  Two are the library's own earlier routines,
+implementations it checks.  Four are the library's own earlier routines,
 kept as the reference for what replaced them: the per-subset Hochster
-loop over `b_graph`, and the plain integer bisection.
+loop over `b_graph`, the plain integer bisection, the canonical labelling
+by colour ranks, and the fold loop that tries every live vertex.
 """
 
 from __future__ import annotations
@@ -337,6 +338,80 @@ def refine_colors_oracle(g: Graph) -> list[int]:
             break
         sig = new_sig
     return sig
+
+
+def canonical_form_oracle(g: Graph) -> str:
+    """The graph6 word `canonical_form` must give, by the library's earlier
+    route: ranks by `refine_colors_oracle`, then a depth-first search over
+    the colour-respecting vertex orderings for the least column codes
+    (code k is the adjacency of the vertex at position k to those before
+    it), trying only the lowest-indexed unplaced member of each twin
+    class, packed as graph6 bit by bit."""
+    n = g.n
+    colors = refine_colors_oracle(g)
+    slot_color = sorted(colors)
+    lower_twins = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not (g.adj[u] ^ g.adj[v]) & ~(1 << u | 1 << v):
+                lower_twins[v] |= 1 << u
+    placed = [0] * n
+    order: list[int] = []
+    best_codes: list[int] = []
+
+    def dfs(k: int, used: int):
+        nonlocal best_codes
+        if k == n:
+            if not best_codes or placed[:n] < best_codes:
+                best_codes = placed[:n]
+            return
+        cands = []
+        for v in range(n):
+            if used >> v & 1 or colors[v] != slot_color[k] or lower_twins[v] & ~used:
+                continue
+            code = 0
+            for i in range(k):
+                if g.adj[v] >> order[i] & 1:
+                    code |= 1 << i
+            cands.append((code, v))
+        cands.sort()
+        for code, v in cands:
+            if best_codes and placed[:k] == best_codes[:k] and code > best_codes[k]:
+                break
+            placed[k] = code
+            order.append(v)
+            dfs(k + 1, used | 1 << v)
+            order.pop()
+
+    dfs(0, 0)
+    bitvec = [col >> i & 1 for j, col in enumerate(best_codes) for i in range(j)]
+    bitvec += [0] * (-len(bitvec) % 6)
+    return chr(n + 63) + "".join(
+        chr(int("".join(map(str, bitvec[i : i + 6])), 2) + 63) for i in range(0, len(bitvec), 6)
+    )
+
+
+def fold_oracle(g: Graph) -> int | None:
+    """The vertices left after the fold lemma, by the loop `_fold` once ran:
+    drop v while some live u != v has N(u) inside N(v) among the live
+    vertices, trying every live u; None when some live vertex has no live
+    neighbour."""
+    live = g.vertex_mask
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            if not live >> v & 1:
+                continue
+            nv = g.adj[v] & live
+            if not nv:
+                return None
+            for u in range(g.n):
+                if u != v and live >> u & 1 and not g.adj[u] & live & ~nv:
+                    live &= ~(1 << v)
+                    changed = True
+                    break
+    return live
 
 
 def bisect_root_oracle(poly, lo=Fraction(1), hi=Fraction(2), steps: int = 120):

@@ -5,7 +5,8 @@ import pytest
 from flagbetti.graphs import (
     Graph,
     Graph6Error,
-    _refine_colors,
+    _refine_cells,
+    bits,
     canonical_form,
     canonical_graph,
     complement,
@@ -27,9 +28,20 @@ from flagbetti.search import enumerate_graphs
 from oracles import (
     all_labelled_graphs,
     are_isomorphic_oracle,
+    canonical_form_oracle,
     graph6_encode_oracle,
     refine_colors_oracle,
 )
+
+
+def cell_ranks(g: Graph) -> list[int]:
+    """Each vertex's position among `_refine_cells`' ordered cells, the
+    colour ranks that `refine_colors_oracle` gives."""
+    ranks = [None] * g.n
+    for i, cell in enumerate(_refine_cells(g.adj)):
+        for v in bits(cell):
+            ranks[v] = i
+    return ranks
 
 
 class TestGraph6:
@@ -208,19 +220,36 @@ class TestCanonical:
     def test_refinement_matches_sorted_tuple_oracle_on_classes(self):
         for n in range(8):
             for g in enumerate_graphs(n, "all"):
-                assert _refine_colors(g) == refine_colors_oracle(g), encode_graph6(g)
+                assert cell_ranks(g) == refine_colors_oracle(g), encode_graph6(g)
 
     def test_refinement_matches_sorted_tuple_oracle_on_random_graphs(self):
         rng = random.Random(12)
         for _ in range(2000):
             g = random_graph(rng, rng.randint(0, 10), rng.random())
-            assert _refine_colors(g) == refine_colors_oracle(g), encode_graph6(g)
+            assert cell_ranks(g) == refine_colors_oracle(g), encode_graph6(g)
 
     def test_refinement_matches_oracle_where_nothing_splits(self):
         regular = [cycle(n) for n in range(3, 11)] + [crown(s) for s in range(1, 6)]
         regular += [copies(s, g) for s in (2, 3) for g in (complete(3), cycle(4))]
         for g in regular:
-            assert _refine_colors(g) == refine_colors_oracle(g) == [0] * g.n
+            assert cell_ranks(g) == refine_colors_oracle(g) == [0] * g.n
+            assert _refine_cells(g.adj) == [g.vertex_mask]
+
+    def test_words_match_oracle_on_random_graphs(self):
+        rng = random.Random(17)
+        for _ in range(3000):
+            g = random_graph(rng, rng.randint(0, 10), rng.random())
+            assert canonical_form(g) == canonical_form_oracle(g), encode_graph6(g)
+
+    def test_words_match_oracle_on_families(self):
+        petersen = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                              + [(i, i + 5) for i in range(5)]
+                              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        family = [cycle(s) for s in range(3, 11)] + [crown(s) for s in range(1, 6)]
+        family += [copies(2, cycle(5)), complete(10), petersen]
+        family += [empty_graph(s) for s in range(11)]
+        for g in family:
+            assert canonical_form(g) == canonical_form_oracle(g), encode_graph6(g)
 
     def test_form_is_a_graph6_str(self, rng):
         assert canonical_form(empty_graph(0)) == "?"
@@ -243,6 +272,28 @@ class TestCanonical:
             assert canonical_form(join_sum(join_sum(a, b), c)) == canonical_form(
                 join_sum(a, join_sum(b, c))
             )
+
+
+class TestBits:
+    def test_every_small_mask(self):
+        for m in range(1 << 12):
+            assert list(bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
+
+    def test_random_large_masks(self):
+        rng = random.Random(19)
+        for _ in range(500):
+            m = rng.getrandbits(rng.randint(1, 300))
+            assert list(bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
+
+    def test_returns_a_sequence(self):
+        assert bits(0b1011) == (0, 1, 3)
+        assert bits(1 << 40 | 2) == [1, 40]
+        assert list(reversed(bits(0b110))) == [2, 1]
+
+    @pytest.mark.parametrize("mask", [-1, -2, -1024, -(1 << 40)])
+    def test_negative_mask_refused(self, mask):
+        with pytest.raises(ValueError, match="negative"):
+            bits(mask)
 
 
 class TestValidation:

@@ -1,3 +1,4 @@
+import random
 from decimal import getcontext
 from fractions import Fraction
 from math import comb, isqrt
@@ -39,7 +40,12 @@ from flagbetti.invariants import (
 )
 from flagbetti.search import enumerate_graphs
 from conftest import random_graph
-from oracles import bisect_root_oracle, hochster_histogram_oracle, integer_bisection_oracle
+from oracles import (
+    bisect_root_oracle,
+    fold_oracle,
+    hochster_histogram_oracle,
+    integer_bisection_oracle,
+)
 
 
 class TestEnclosure:
@@ -215,6 +221,17 @@ class TestGraphReductions:
             k = independence_complex(g)
             for field in (GF2, GF3, RATIONALS):
                 assert betti_graph(g, field) == betti(k, field), (encode_graph6(g), field)
+
+    def test_fold_matches_oracle_on_classes(self):
+        for n in range(9):
+            for g in enumerate_graphs(n, "all"):
+                assert invariants._fold(g) == fold_oracle(g), encode_graph6(g)
+
+    def test_fold_matches_oracle_on_random_graphs(self):
+        rng = random.Random(23)
+        for _ in range(2000):
+            g = random_graph(rng, rng.randint(0, 14), rng.random())
+            assert invariants._fold(g) == fold_oracle(g), encode_graph6(g)
 
     def test_isolated_vertex_is_a_cone(self, monkeypatch):
         # no complex is built: 2^23 faces would exceed the face cap

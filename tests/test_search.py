@@ -35,6 +35,7 @@ from conftest import random_graph
 from oracles import (
     all_labelled_graphs,
     are_isomorphic_oracle,
+    canonical_form_oracle,
     classes_oracle,
     independent_sets_oracle,
 )
@@ -131,6 +132,17 @@ class TestEnumeration:
         monkeypatch.setattr(search, "canonical_form", lambda g: made.update([g.n]) or canonical_form(g))
         search._classes(top, trifree)
         assert [made[n] for n in range(top + 1)] == labels
+
+    @pytest.mark.parametrize("trifree, top", [(False, 8), (True, 9)])
+    def test_labelled_children_match_oracle_words(self, monkeypatch, trifree, top):
+        # every child that _classes labels gets the oracle's word
+        children = []
+        monkeypatch.setattr(search, "_classes", lru_cache(maxsize=None)(search._classes.__wrapped__))
+        monkeypatch.setattr(search, "canonical_form", lambda g: children.append(g) or canonical_form(g))
+        search._classes(top, trifree)
+        assert len(children) == (17_839 if top == 8 else 3_357)
+        for g in children:
+            assert canonical_form(g) == canonical_form_oracle(g), encode_graph6(g)
 
     @pytest.mark.parametrize("n", range(6))
     def test_twin_classes_against_brute_force(self, n):
