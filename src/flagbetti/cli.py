@@ -30,7 +30,6 @@ from .complexes import (
 from .graphs import encode_graph6, parse_graph6
 from .homology import FieldSpec, betti
 from .invariants import (
-    HOCHSTER_CAP,
     betti_graph,
     check_bounds,
     check_complex_bounds,
@@ -76,14 +75,11 @@ class _Boundary(click.Group):
 @click.group(cls=_Boundary)
 @click.option("--field", "field_name", default="gf2", show_default=True,
               help="Coefficient field: gf<p> or rational.")
-@click.option("--hochster-cap", default=HOCHSTER_CAP, type=int, show_default=True,
-              help="Max n for the induced-subgraph Betti sum.")
 @click.pass_context
-def main(ctx, field_name, hochster_cap):
+def main(ctx, field_name):
     """Betti numbers of flag complexes: compute, verify, search."""
     ctx.ensure_object(dict)
     ctx.obj["field"] = FieldSpec.parse(field_name)
-    ctx.obj["hochster_cap"] = hochster_cap
 
 
 @main.command("betti")
@@ -107,7 +103,7 @@ def betti_cmd(ctx, graph6_word, facets_path):
 def beta_cmd(ctx, graph6_word):
     """Induced-subgraph Betti sum (Hochster total) of a graph."""
     g = parse_graph6(graph6_word)
-    report = hochster_beta(g, ctx.obj["field"], cap=ctx.obj["hochster_cap"])
+    report = hochster_beta(g, ctx.obj["field"])
     _emit(report.to_json_dict())
 
 
@@ -212,8 +208,7 @@ def search_cmd(ctx, metric, graph_class, size, use_stdin, strict, tsv, checkpoin
     report = maximize(
         metric, cls, n=size,
         graphs=stream_graph6(sys.stdin, strict=strict) if use_stdin else None,
-        fieldspec=ctx.obj["field"], hochster_cap=ctx.obj["hochster_cap"],
-        checkpoint_path=checkpoint, resume=resume,
+        fieldspec=ctx.obj["field"], checkpoint_path=checkpoint, resume=resume,
     )
     if tsv:
         click.echo(report.to_tsv_line())
@@ -245,10 +240,7 @@ def check_cmd(ctx, graph6_word, facets_path, with_beta):
     if with_beta and facets_path is not None:
         _fail("--beta applies to graphs only, not to --facets")
     if graph6_word is not None:
-        report = check_bounds(
-            parse_graph6(graph6_word), ctx.obj["field"],
-            include_beta=with_beta, hochster_cap=ctx.obj["hochster_cap"],
-        )
+        report = check_bounds(parse_graph6(graph6_word), ctx.obj["field"], include_beta=with_beta)
         report["graph6"] = graph6_word
     else:
         report = check_complex_bounds(_load_complex(facets_path), ctx.obj["field"])

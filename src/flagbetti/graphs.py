@@ -17,6 +17,7 @@ decode sets adj[i] and adj[j] together, only for i < j < n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "Graph",
@@ -333,7 +334,8 @@ def graph_predicates(g: Graph) -> dict:
 # canonical labelling (n <= CANONICAL_CAP): colour refinement to an ordered
 # partition, then the least column codes over the orderings that respect it
 
-def _refine_cells(adj: tuple[int, ...]) -> list[int]:
+@lru_cache(maxsize=1)
+def _refine_cells(adj: tuple[int, ...]) -> tuple[int, ...]:
     """Ordered partition of iterated degree refinement, as vertex masks.
 
     The cells start as the degree classes, in ascending degree.  Each
@@ -346,7 +348,9 @@ def _refine_cells(adj: tuple[int, ...]) -> list[int]:
     sequences do.  Two vertices of one cell
     already agree on every cell the last round did not create, so only
     the new cells are counted.  The first round that splits nothing, or
-    a discrete partition, ends it."""
+    a discrete partition, ends it.  The partition is an isomorphism
+    invariant.  The last call is cached, so the search's canonical-deletion
+    test and the `canonical_form` of the same child refine it once."""
     n = len(adj)
     by_degree: dict[int, int] = {}
     for v, a in enumerate(adj):
@@ -377,7 +381,7 @@ def _refine_cells(adj: tuple[int, ...]) -> list[int]:
         if not born:
             break
         cells, fresh = out, born
-    return cells
+    return tuple(cells)
 
 
 def _twin_classes(adj: tuple[int, ...]) -> list[int]:
@@ -394,7 +398,7 @@ def _twin_classes(adj: tuple[int, ...]) -> list[int]:
     return [m for m in groups.values() if m & (m - 1)]
 
 
-def _min_code(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+def _min_code(adj: tuple[int, ...], cells: tuple[int, ...]) -> list[int]:
     """Lexicographically least column-code sequence over the vertex
     orderings that respect the ordered partition cells (positions are
     filled cell by cell).  Code entry k is the adjacency of the vertex at

@@ -69,7 +69,7 @@ class FieldSpec:
         name = name.strip().lower()
         if name in ("rational", "rationals", "q"):
             return cls("rational")
-        if name.startswith("gf"):
+        if name.startswith("gf") and name[2:].isdecimal():
             return cls("prime", int(name[2:]))
         raise ValueError(f"unknown field {name!r}; use gf<p> or rational")
 

@@ -253,14 +253,6 @@ def conjecture_power(d: int, n: int) -> Enclosure:
 
 
 @lru_cache(maxsize=None)
-def theta_power(n: int) -> Enclosure:
-    """Enclosure of (4^(1/5))^n; exact integer 4^(n/5) when 5 divides n."""
-    if n % 5 == 0:
-        return Enclosure.exact(4 ** (n // 5))
-    return theta_enclosure(4) ** n
-
-
-@lru_cache(maxsize=None)
 def gamma_power(n: int) -> Enclosure:
     return gamma_enclosure(3) ** n
 
@@ -449,9 +441,7 @@ def _dominated(adj: tuple[int, ...], w: int, v: int) -> bool:
     return any(not adj[u] & outside for u in bits(adj[v] & w))
 
 
-def hochster_beta(
-    g: Graph, field: FieldSpec = GF2, cap: int = HOCHSTER_CAP
-) -> HochsterReport:
+def hochster_beta(g: Graph, field: FieldSpec = GF2) -> HochsterReport:
     """Sum of b over all 2^n induced subgraphs, from one table of their
     reduced Betti vectors.
 
@@ -466,11 +456,11 @@ def hochster_beta(
     by v, the inclusion Ind(G[w] - N[v]) -> Ind(G[w] - v) is zero in
     homology over every field, and the long exact sequence gives the first
     vector plus the second one degree up.  Only when both conditions fail
-    is G[w] handed to `betti_graph`.  Graphs with more than cap vertices
-    are refused with a ValueError.
+    is G[w] handed to `betti_graph`.  Graphs with more than HOCHSTER_CAP
+    vertices are refused with a ValueError.
     """
-    if g.n > cap:
-        raise ValueError(f"hochster sum refused for n={g.n} > cap={cap}")
+    if g.n > HOCHSTER_CAP:
+        raise ValueError(f"hochster sum refused for n={g.n} > cap={HOCHSTER_CAP}")
     adj = g.adj
     table = [()] * (1 << g.n)  # one shared empty tuple for every zero vector
     table[0] = ((-1, 1),)  # the empty complex
@@ -523,7 +513,8 @@ def growth_bound(metric: str, triangle_free: bool, n: int) -> tuple[str, Enclosu
     if metric == "b":
         if triangle_free:
             return "b-le-gamma^n", gamma_power(n)
-        return "b-le-theta^n", theta_power(n)
+        # theta = 4^(1/5) = C(4, 1)^(1/5), the d = 2 conjectured base
+        return "b-le-theta^n", conjecture_power(2, n)
     if metric == "beta":
         if triangle_free:
             return "beta-le-(gamma+1)^n", gamma_enclosure(3).plus_int(1) ** n
@@ -547,7 +538,6 @@ def check_bounds(
     g: Graph,
     field: FieldSpec = GF2,
     include_beta: bool = False,
-    hochster_cap: int = HOCHSTER_CAP,
 ) -> dict:
     """Check the flag-complex growth bounds for one graph.
 
@@ -557,7 +547,7 @@ def check_bounds(
     preds = graph_predicates(g)
     values = {"b": b_graph(g, field)}
     if include_beta:
-        values["beta"] = hochster_beta(g, field, hochster_cap).beta_total
+        values["beta"] = hochster_beta(g, field).beta_total
     classes = (False, True) if preds["is_triangle_free"] else (False,)
     bounds = []
     for metric, value in values.items():

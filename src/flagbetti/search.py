@@ -4,29 +4,31 @@ The internal generator extends each (n-1)-vertex class representative
 by one vertex in every way, and keeps one canonical form per class.  A
 triangle-free child's new vertex has an independent set of the parent as
 its neighbourhood, so those come from the parent's independence complex.
-It builds and labels only the children that pass three filters, each
-exact:
+Two cheap filters, each exact, skip a neighbourhood before its child is
+built:
 
 - Degree: the new vertex has the greatest degree in the child.
-- Tie: among the child's vertices of greatest degree, the new vertex has
-  the greatest list of neighbour degrees, each list sorted ascending and
-  compared lexicographically.
 - Twins: within each class of twins of the parent (vertices whose
   neighbourhoods agree apart from each other), the new vertex's
   neighbours are the lowest-indexed members.
 
-The first two are the canonical-deletion test of McKay's canonical
-augmentation (J. Algorithms 1998) on the invariant (degree, sorted
-neighbour degrees).  Every n-vertex graph G has a vertex w that maximises
-it, G - w is isomorphic to some (n-1)-vertex representative P, so G
-appears among P's children with the new vertex playing w, and the
-invariant does not depend on the labelling.  The third holds because any
-permutation within a twin class is an automorphism of P: it maps a
-child to an isomorphic child, fixing the new vertex, and each child can
-be mapped so that its neighbours in every class come lowest.  The n = 9
-vanishing sweep examines every child, unfiltered and undeduplicated, and
-builds those whose independence number can carry homology.  Larger
-inputs arrive as graph6 streams from external generators.
+A child that passes both is labelled only if its new vertex lies in the
+last cell of the ordered partition that `canonical_form` refines it to
+(`graphs._refine_cells`).  This is the canonical-deletion test of McKay's
+canonical augmentation (J. Algorithms 1998).  The partition does not
+depend on the labelling and its last cell is never empty, so every
+n-vertex graph G has a vertex w in that cell, G - w is isomorphic to
+some (n-1)-vertex representative P, and G appears among P's children
+with the new vertex playing w.  The cells start as the degree classes in
+ascending order, so the degree filter only skips, before any child is
+built, children that the last-cell test would refuse.  The twin filter
+holds because any permutation within a twin class is an automorphism of
+P: it maps a child to an isomorphic child, fixing the new vertex, and
+each child can be mapped so that its neighbours in every class come
+lowest.  The n = 9 vanishing sweep examines the children of the parents
+whose independence number lets a child reach the threshold, unfiltered
+and undeduplicated, and builds those whose own independence number
+does.  Larger inputs arrive as graph6 streams from external generators.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from .complexes import all_faces, class_membership, independence_complex, neighb
 from .graphs import (
     Graph,
     Graph6Error,
+    _refine_cells,
     _trusted_graph,
     _twin_classes,
-    bits,
     canonical_form,
     empty_graph,
     encode_graph6,
@@ -54,7 +56,6 @@ from .graphs import (
 )
 from .homology import GF2, FieldSpec, total_betti
 from .invariants import (
-    HOCHSTER_CAP,
     Enclosure,
     b_graph,
     betti_graph,
@@ -92,13 +93,14 @@ def _child(parent: Graph, nb: int) -> Graph:
 def _classes(n: int, trifree: bool) -> tuple[Graph, ...]:
     if n == 0:
         return (empty_graph(0),)
-    # Three exact filters run before a child is labelled (see the module
+    # Two exact filters run before a child is built (see the module
     # docstring).  A parent vertex gains a degree iff it is in nb, so the
     # degree test needs only at_least[k], the parent's vertices of degree
     # >= k, and d = |nb|.  The twin test keeps nb only where it takes the
-    # lowest-indexed members of each twin class.  The tie test compares
-    # sorted neighbour degrees with the other vertices of degree d.
+    # lowest-indexed members of each twin class.  The refinement of the
+    # last-cell test is cached and reused by canonical_form.
     keys = set()
+    new = 1 << (n - 1)
     for parent in _classes(n - 1, trifree):
         deg = [a.bit_count() for a in parent.adj]
         at_least = [sum(1 << v for v, k in enumerate(deg) if k >= j) for j in range(n + 1)]
@@ -109,27 +111,10 @@ def _classes(n: int, trifree: bool) -> tuple[Graph, ...]:
                 continue
             if any(t & ~nb & ((1 << (nb & t).bit_length()) - 1) for t in twins):
                 continue
-            tied = (at_least[d] & ~nb) | (at_least[d - 1] & nb if d else 0)
-            if tied and _outranked(parent.adj, deg, nb, d, tied):
-                continue
-            keys.add(canonical_form(_child(parent, nb)))
+            child = _child(parent, nb)
+            if _refine_cells(child.adj)[-1] & new:
+                keys.add(canonical_form(child))
     return tuple(parse_graph6(k) for k in sorted(keys))
-
-
-def _outranked(adj: tuple[int, ...], deg: list[int], nb: int, d: int, tied: int) -> bool:
-    """Whether a vertex in tied (the parent's vertices that, like the new
-    vertex, have degree d in the child parent + nb) has a greater
-    ascending-sorted list of neighbour degrees in the child than the new
-    vertex."""
-    child_deg = [k + (nb >> v & 1) for v, k in enumerate(deg)]
-    mine = sorted(child_deg[v] for v in bits(nb))
-    for u in bits(tied):
-        theirs = [child_deg[v] for v in bits(adj[u])]
-        if nb >> u & 1:
-            theirs.append(d)
-        if sorted(theirs) > mine:
-            return True
-    return False
 
 
 def enumerate_graphs(n: int, cls: str = "all") -> list[Graph]:
@@ -219,11 +204,11 @@ class SearchReport:
         )
 
 
-def _metric_fn(metric: str, fieldspec: FieldSpec, hochster_cap: int):
+def _metric_fn(metric: str, fieldspec: FieldSpec):
     if metric == "b":
         return lambda g: b_graph(g, fieldspec)
     if metric == "beta":
-        return lambda g: hochster_beta(g, fieldspec, cap=hochster_cap).beta_total
+        return lambda g: hochster_beta(g, fieldspec).beta_total
     if metric == "bneigh":
         return lambda g: total_betti(neighbourhood_complex(g), fieldspec)
     raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
@@ -235,7 +220,6 @@ def maximize(
     n: int | None = None,
     graphs: Iterable[Graph] | None = None,
     fieldspec: FieldSpec = GF2,
-    hochster_cap: int = HOCHSTER_CAP,
     checkpoint_path: str | None = None,
     resume: bool = False,
 ) -> SearchReport:
@@ -256,7 +240,7 @@ def maximize(
         if n is None:
             raise ValueError("give either n (internal generator) or a graph iterable")
         graphs = enumerate_graphs(n, graph_class)
-    fn = _metric_fn(metric, fieldspec, hochster_cap)
+    fn = _metric_fn(metric, fieldspec)
     trifree = graph_class in ("triangle_free", "bipartite")
     report = SearchReport(metric=metric, graph_class=graph_class, n=n or 0)
     field = str(fieldspec)
@@ -306,10 +290,11 @@ def maximize(
         if checkpoint_path and report.graphs_examined % CHECKPOINT_EVERY == 0:
             _write_checkpoint(checkpoint_path, report, field, seen_sizes, digest)
     if n is None and len(seen_sizes) == 1:
-        (report.n,) = seen_sizes
+        (n,) = seen_sizes
     report.maximizers.sort()
-    if report.n:
-        report.bound_name, report.bound = growth_bound(metric, trifree, report.n)
+    if n is not None:  # the size is known, 0 included
+        report.n = n
+        report.bound_name, report.bound = growth_bound(metric, trifree, n)
     report.wall_time = time.monotonic() - start
     if checkpoint_path:
         _write_checkpoint(checkpoint_path, report, field, seen_sizes, digest)

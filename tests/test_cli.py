@@ -151,16 +151,6 @@ class TestBeta:
         assert res.exit_code == 2
         assert "n=19 > cap=18" in json.loads(res.stderr)["error"]
 
-    def test_cap_zero_is_a_cap(self, runner):
-        res = invoke(runner, ["--hochster-cap", "0", "beta", "--graph6", "D~{"])
-        assert res.exit_code == 2
-        assert "cap=0" in json.loads(res.stderr)["error"]
-
-    def test_non_integer_cap_is_usage_error(self, runner):
-        res = invoke(runner, ["--hochster-cap", "abc", "beta", "--graph6", "D~{"])
-        assert res.exit_code == 2
-        assert "--hochster-cap" in res.stderr
-
 
 class TestTransforms:
     def test_dual_round_trip(self, runner, tmp_path):
@@ -261,11 +251,21 @@ class TestSearch:
         assert json.loads(res.stderr)["error"].startswith("line 2: empty graph6 word")
 
     def test_beta_over_cap(self, runner):
-        word = encode_graph6(empty_graph(4)) + "\n"
-        res = invoke(runner, ["--hochster-cap", "3", "search", "--metric", "beta", "--stdin"],
-                     input=word)
+        word = encode_graph6(empty_graph(19)) + "\n"
+        res = invoke(runner, ["search", "--metric", "beta", "--stdin"], input=word)
         assert res.exit_code == 2
-        assert "n=4 > cap=3" in json.loads(res.stderr)["error"]
+        assert "n=19 > cap=18" in json.loads(res.stderr)["error"]
+
+    @pytest.mark.parametrize("args, stdin", [(["--n", "0"], None), (["--stdin"], "?\n")],
+                             ids=["internal", "stream"])
+    def test_size_zero_reports_bound(self, runner, args, stdin):
+        # K0 has b = 1, and theta^0 = 1 bounds it exactly
+        res = invoke(runner, ["search", "--metric", "b", *args], input=stdin)
+        assert res.exit_code == 0
+        out = json.loads(res.output)
+        assert (out["n"], out["graphs_examined"], out["max_value"]) == (0, 1, 1)
+        assert out["bound_name"] == "b-le-theta^n"
+        assert out["bound_lo"] == out["bound_hi"] == 1.0
 
     def test_tsv(self, runner):
         res = invoke(runner, ["search", "--metric", "b", "--n", "4", "--tsv"])
@@ -434,8 +434,10 @@ class TestCheck:
     def test_field_option(self, runner):
         res = invoke(runner, ["--field", "gf3", "betti", "--graph6", "D~{"])
         assert json.loads(res.output)["field"] == "gf3"
-        res = invoke(runner, ["--field", "bogus", "betti", "--graph6", "D~{"])
-        assert res.exit_code == 2
+        for name in ("bogus", "gfx", "gf"):
+            res = invoke(runner, ["--field", name, "betti", "--graph6", "D~{"])
+            assert res.exit_code == 2
+            assert json.loads(res.stderr)["error"] == f"unknown field {name!r}; use gf<p> or rational"
 
 
 def test_readme_cli_options_exist():

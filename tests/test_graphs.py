@@ -233,7 +233,21 @@ class TestCanonical:
         regular += [copies(s, g) for s in (2, 3) for g in (complete(3), cycle(4))]
         for g in regular:
             assert cell_ranks(g) == refine_colors_oracle(g) == [0] * g.n
-            assert _refine_cells(g.adj) == [g.vertex_mask]
+            assert _refine_cells(g.adj) == (g.vertex_mask,)
+
+    def test_refinement_is_invariant_under_relabelling(self):
+        # the search's canonical-deletion test relies on this: relabelling
+        # the graph by pi relabels each cell by pi and keeps their order
+        rng = random.Random(29)
+        for _ in range(3000):
+            g = random_graph(rng, rng.randint(0, 10), rng.random())
+            pi = rng.sample(range(g.n), g.n)
+            adj = [0] * g.n
+            for u, v in g.edges():
+                adj[pi[u]] |= 1 << pi[v]
+                adj[pi[v]] |= 1 << pi[u]
+            moved = tuple(sum(1 << pi[v] for v in bits(cell)) for cell in _refine_cells(g.adj))
+            assert _refine_cells(tuple(adj)) == moved, (encode_graph6(g), pi)
 
     def test_words_match_oracle_on_random_graphs(self):
         rng = random.Random(17)

@@ -30,12 +30,12 @@ from flagbetti.invariants import (
     check_bounds,
     check_complex_bounds,
     conjecture_base_enclosure,
+    conjecture_power,
     gamma_enclosure,
     gamma_power,
     hochster_beta,
     solve_constants,
     theta_enclosure,
-    theta_power,
     theta_small_enclosure,
 )
 from flagbetti.search import enumerate_graphs
@@ -173,10 +173,15 @@ class TestConstants:
         mid = theta_small_enclosure(2).midpoint()
         assert abs(float(mid) - (1 + 5**0.5) / 2) < 1e-12
 
-    def test_theta_power_exact_multiples_of_5(self):
+    def test_conjecture_power_exact_at_multiples_of_2d_plus_1(self):
+        # d = 2 is theta^n = 4^(n/5); d = 3 is 15^(n/7)
         for n in (0, 5, 10, 15):
-            e = theta_power(n)
+            e = conjecture_power(2, n)
             assert e.lo == e.hi == 4 ** (n // 5)
+        for n in (0, 7, 14):
+            e = conjecture_power(3, n)
+            assert e.lo == e.hi == 15 ** (n // 7)
+        assert conjecture_power(2, 6).lo < conjecture_power(2, 6).hi
 
     def test_conjecture_base(self):
         e = conjecture_base_enclosure(2)

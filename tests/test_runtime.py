@@ -38,6 +38,12 @@ def test_beta_workers_is_a_usage_error():
     assert "No such option" in res.stderr
 
 
+def test_hochster_cap_is_a_usage_error():
+    res = CliRunner().invoke(main, ["--hochster-cap", "16", "beta", "--graph6", "Bw"])
+    assert res.exit_code == 2
+    assert "No such option" in res.stderr
+
+
 @pytest.mark.parametrize(
     "module", [info.name for info in pkgutil.iter_modules(flagbetti.__path__)]
 )

@@ -21,7 +21,7 @@ from flagbetti.graphs import (
     parse_graph6,
 )
 from flagbetti.homology import GF3
-from flagbetti.invariants import b_graph, theta_power
+from flagbetti.invariants import b_graph, conjecture_power
 from flagbetti.search import (
     GENERATOR_CAPS,
     conjecture_checks,
@@ -116,17 +116,17 @@ class TestEnumeration:
     @pytest.mark.parametrize("n, trifree", [(n, False) for n in range(8)]
                              + [(n, True) for n in range(9)])
     def test_degree_filter_matches_unfiltered_oracle(self, n, trifree):
-        # _classes labels only the children that pass its degree, tie and
-        # twin filters; the oracle labels every child
+        # _classes labels only the children that pass its degree and twin
+        # filters and its last-cell test; the oracle labels every child
         assert search._classes(n, trifree) == classes_oracle(n, trifree)
 
     @pytest.mark.parametrize("trifree, top, labels", [
-        (False, 7, [0, 1, 2, 4, 11, 39, 191, 1425]),
-        (True, 8, [0, 1, 2, 3, 7, 14, 40, 130, 528]),
+        (False, 7, [0, 1, 2, 4, 11, 39, 189, 1367]),
+        (True, 8, [0, 1, 2, 3, 7, 14, 40, 127, 515]),
     ])
     def test_filters_label_pinned_children(self, monkeypatch, trifree, top, labels):
-        # how many children pass the filters and get labelled, per n: a
-        # weaker filter stays exact but labels more
+        # how many children pass the filters and the last-cell test and get
+        # labelled, per n: a weaker test stays exact but labels more
         made = Counter()
         monkeypatch.setattr(search, "_classes", lru_cache(maxsize=None)(search._classes.__wrapped__))
         monkeypatch.setattr(search, "canonical_form", lambda g: made.update([g.n]) or canonical_form(g))
@@ -140,7 +140,7 @@ class TestEnumeration:
         monkeypatch.setattr(search, "_classes", lru_cache(maxsize=None)(search._classes.__wrapped__))
         monkeypatch.setattr(search, "canonical_form", lambda g: children.append(g) or canonical_form(g))
         search._classes(top, trifree)
-        assert len(children) == (17_839 if top == 8 else 3_357)
+        assert len(children) == (16_757 if top == 8 else 3_196)
         for g in children:
             assert canonical_form(g) == canonical_form_oracle(g), encode_graph6(g)
 
@@ -318,7 +318,7 @@ class TestMaximize:
         rep = maximize("b", graphs=graphs, checkpoint_path=str(path), resume=True)
         assert rep.graphs_examined == 2
         assert rep.n == 5 and rep.max_value == 4
-        assert rep.bound_name == "b-le-theta^n" and rep.bound == theta_power(5)
+        assert rep.bound_name == "b-le-theta^n" and rep.bound == conjecture_power(2, 5)
         assert rep.to_json_dict()["bound_lo"] == 4.0
 
     def test_resume_refuses_checkpoint_without_sizes(self, tmp_path):
