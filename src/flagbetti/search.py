@@ -25,10 +25,15 @@ built, children that the last-cell test would refuse.  The twin filter
 holds because any permutation within a twin class is an automorphism of
 P: it maps a child to an isomorphic child, fixing the new vertex, and
 each child can be mapped so that its neighbours in every class come
-lowest.  The n = 9 vanishing sweep examines the children of the parents
-whose independence number lets a child reach the threshold, unfiltered
-and undeduplicated, and builds those whose own independence number
-does.  Larger inputs arrive as graph6 streams from external generators.
+lowest.
+
+`_extensions` yields the neighbourhoods that pass both filters, so every
+n-vertex class is among the children it yields.  Class enumeration
+labels those children; the vanishing sweep, for every n <= 9, examines
+them without labels or deduplication, for the parents whose independence
+number lets a child reach the threshold, and builds those whose own
+independence number does.  Larger inputs arrive as graph6 streams from
+external generators.
 """
 
 from __future__ import annotations
@@ -89,28 +94,34 @@ def _child(parent: Graph, nb: int) -> Graph:
     return _trusted_graph(parent.n + 1, adj + (nb,))
 
 
+def _extensions(parent: Graph, trifree: bool) -> Iterator[int]:
+    """The neighbourhoods of a new vertex that pass the degree and twin
+    filters (see the module docstring); for trifree, only the parent's
+    independent sets.  A parent vertex gains a degree iff it is in nb, so
+    the degree test needs only at_least[k], the parent's vertices of
+    degree >= k, and d = |nb|.  The twin test keeps nb only where it takes
+    the lowest-indexed members of each twin class."""
+    deg = [a.bit_count() for a in parent.adj]
+    at_least = [sum(1 << v for v, k in enumerate(deg) if k >= j) for j in range(parent.n + 2)]
+    twins = _twin_classes(parent.adj)
+    for nb in all_faces(independence_complex(parent)) if trifree else range(1 << parent.n):
+        d = nb.bit_count()
+        if at_least[d + 1] & ~nb or at_least[d] & nb:
+            continue
+        if any(t & ~nb & ((1 << (nb & t).bit_length()) - 1) for t in twins):
+            continue
+        yield nb
+
+
 @lru_cache(maxsize=None)
 def _classes(n: int, trifree: bool) -> tuple[Graph, ...]:
     if n == 0:
         return (empty_graph(0),)
-    # Two exact filters run before a child is built (see the module
-    # docstring).  A parent vertex gains a degree iff it is in nb, so the
-    # degree test needs only at_least[k], the parent's vertices of degree
-    # >= k, and d = |nb|.  The twin test keeps nb only where it takes the
-    # lowest-indexed members of each twin class.  The refinement of the
-    # last-cell test is cached and reused by canonical_form.
+    # the refinement of the last-cell test is cached and reused by canonical_form
     keys = set()
     new = 1 << (n - 1)
     for parent in _classes(n - 1, trifree):
-        deg = [a.bit_count() for a in parent.adj]
-        at_least = [sum(1 << v for v, k in enumerate(deg) if k >= j) for j in range(n + 1)]
-        twins = _twin_classes(parent.adj)
-        for nb in all_faces(independence_complex(parent)) if trifree else range(1 << parent.n):
-            d = nb.bit_count()
-            if at_least[d + 1] & ~nb or at_least[d] & nb:
-                continue
-            if any(t & ~nb & ((1 << (nb & t).bit_length()) - 1) for t in twins):
-                continue
+        for nb in _extensions(parent, trifree):
             child = _child(parent, nb)
             if _refine_cells(child.adj)[-1] & new:
                 keys.add(canonical_form(child))
@@ -223,9 +234,10 @@ def maximize(
     checkpoint_path: str | None = None,
     resume: bool = False,
 ) -> SearchReport:
-    """Evaluate metric on every graph of graph_class (a supplied one outside
-    it is refused) and report the exact maximum, all maximizers (canonical
-    graph6), and the applicable theorem bound.  With checkpoint_path, save
+    """Evaluate metric on every graph of graph_class, given as n for the
+    internal generator or as graphs (exactly one; a supplied graph outside
+    the class is refused), and report the exact maximum, all maximizers
+    (canonical graph6), and the applicable theorem bound.  With checkpoint_path, save
     the report as it goes, with a sha256 digest of the graphs examined; with
     resume too, restore the report saved there and skip the input graphs it
     has examined.  An input that ends before them, or whose skipped graphs
@@ -235,10 +247,10 @@ def maximize(
     if resume and not checkpoint_path:
         raise ValueError("cannot resume without a checkpoint path")
     start = time.monotonic()
+    if (n is None) == (graphs is None):
+        raise ValueError("give exactly one of n (internal generator) or a graph iterable")
     check_class = graphs is not None and graph_class != "all"
     if graphs is None:
-        if n is None:
-            raise ValueError("give either n (internal generator) or a graph iterable")
         graphs = enumerate_graphs(n, graph_class)
     fn = _metric_fn(metric, fieldspec)
     trifree = graph_class in ("triangle_free", "bipartite")
@@ -437,42 +449,45 @@ def _alpha_table(adj: tuple[int, ...]) -> list[int]:
 
 def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     """Check that Ind(G) has no homology above n/2 - 1 for every n-vertex
-    graph, one isomorphism class at a time.
+    graph, n <= 9.
 
-    Homology in degree i needs an independent set of i+1 vertices, so only
-    graphs whose independence number clears the threshold are computed.
-    Up to the generator cap a class's independence number is the size of
-    the largest facet of Ind(G).  For n one past the cap the candidates
-    are streamed as one-vertex extensions of the (n-1)-vertex
-    representatives; duplicates across parents are harmless for a
-    universally-quantified check.  Each parent's `_alpha_table` gives its
-    children's independence numbers: a child whose new vertex has
-    neighbourhood nb has alpha = max(alpha[full], 1 + alpha[full & ~nb]).
+    The candidates are the children that `_extensions` yields from the
+    (n-1)-vertex representatives; they reach every n-vertex class, and
+    repeats are harmless for a universally quantified check.  Homology in
+    degree i needs an independent set of i+1 vertices, so only children
+    whose independence number clears the threshold are built and
+    computed.  Each parent's `_alpha_table` gives its children's
+    independence numbers: a child whose new vertex has neighbourhood nb
+    has alpha = max(alpha[full], 1 + alpha[full & ~nb]), at most the
+    parent's plus one, so a parent below the threshold minus one is
+    skipped.  `graphs_examined` counts the children of the parents kept
+    (for n = 0, the one 0-vertex graph, whose alpha 0 is below it).
     """
+    if n < 0:
+        raise ValueError(f"need n >= 0 vertices, got {n}")
+    cap = GENERATOR_CAPS["all"] + 1
+    if n > cap:
+        raise ValueError(f"vanishing sweep supported only for n <= {cap}")
     min_degree = n // 2  # least integer degree above n/2 - 1
     min_alpha = min_degree + 1
-    cap = GENERATOR_CAPS["all"]
-    if n <= cap:
-        candidates: Iterable[tuple[Graph | None, int]] = (
-            (g, max(f.bit_count() for f in independence_complex(g).facets))
-            for g in enumerate_graphs(n, "all")
-        )
-    elif n == cap + 1:
-        candidates = _extensions_with_alpha(_classes(cap, False), min_alpha)
-    else:
-        raise ValueError(f"vanishing sweep supported only for n <= {cap + 1}")
-    examined = 0
+    examined = int(n == 0)
     computed = 0
     violations = []
-    for g, alpha in candidates:
-        examined += 1
-        if alpha < min_alpha:
+    for parent in _classes(n - 1, False) if n else ():
+        alpha = _alpha_table(parent.adj)
+        full = parent.vertex_mask
+        if alpha[full] + 1 < min_alpha:
             continue
-        computed += 1
-        bv = betti_graph(g, fieldspec)
-        bad = [(d, b) for d, b in bv.by_degree if d >= min_degree and b > 0]
-        if bad:
-            violations.append({"graph6": encode_graph6(g), "degrees": bad})
+        for nb in _extensions(parent, False):
+            examined += 1
+            if max(alpha[full], 1 + alpha[full & ~nb]) < min_alpha:
+                continue
+            computed += 1
+            g = _child(parent, nb)
+            bv = betti_graph(g, fieldspec)
+            bad = [(d, b) for d, b in bv.by_degree if d >= min_degree and b > 0]
+            if bad:
+                violations.append({"graph6": encode_graph6(g), "degrees": bad})
     return {
         "n": n,
         "threshold": n / 2 - 1,
@@ -481,21 +496,6 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
         "violations": violations,
         "pass": not violations,
     }
-
-
-def _extensions_with_alpha(parents, min_alpha: int) -> Iterator[tuple[Graph | None, int]]:
-    """Every child of every parent with its independence number, skipping
-    parents whose children cannot reach min_alpha (a child's independence
-    number is at most its parent's plus one).  A child below min_alpha is
-    counted but not built: it comes as None."""
-    for parent in parents:
-        alpha = _alpha_table(parent.adj)
-        full = parent.vertex_mask
-        if alpha[full] + 1 < min_alpha:
-            continue
-        for nb in range(1 << parent.n):
-            a = max(alpha[full], 1 + alpha[full & ~nb])
-            yield (_child(parent, nb) if a >= min_alpha else None), a
 
 
 def moon_moser_check(n: int) -> dict:

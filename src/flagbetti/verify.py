@@ -114,23 +114,18 @@ def run_lemmas(field: FieldSpec) -> dict:
     for fld in (GF2, GF3, RATIONALS):
         for case in golden_cases():
             results.append(verify_case(case, fld))
-    closed = []
-    for s in range(1, 8):
-        closed.append(
-            {
-                "name": f"complete-closed-form-s{s}",
-                "computed": hochster_beta(complete(s), field).beta_total,
-                "expected": beta_complete_closed(s),
-            }
+    closed = [
+        {
+            "name": f"{family}-closed-form-s{s}",
+            "computed": hochster_beta(build(s), field).beta_total,
+            "expected": closed_form(s),
+        }
+        for family, build, closed_form, top in (
+            ("complete", complete, beta_complete_closed, 7),
+            ("crown", crown, beta_crown_closed, 4),
         )
-    for s in range(1, 5):
-        closed.append(
-            {
-                "name": f"crown-closed-form-s{s}",
-                "computed": hochster_beta(crown(s), field).beta_total,
-                "expected": beta_crown_closed(s),
-            }
-        )
+        for s in range(1, top + 1)
+    ]
     for entry in closed:
         entry["pass"] = entry["computed"] == entry["expected"]
     ok = all(r["pass"] for r in results) and all(r["pass"] for r in closed)

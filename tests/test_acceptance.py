@@ -194,11 +194,10 @@ def test_criterion_6_property_suites(capsys):
         sweep = flag_vanishing_sweep(n)
         if not sweep["pass"]:
             ok = False
-    # the n = 9 sweep streams the 256 one-vertex extensions of each 8-vertex
-    # class with alpha + 1 >= 5 (5,915 of the 12,346 classes, so 1,514,240
-    # of the 3,160,576 children) and computes homology where the child's
-    # independence number allows it
-    assert (sweep["graphs_examined"], sweep["homology_computed"]) == (1_514_240, 358_325)
+    # the n = 9 sweep examines the degree- and twin-filtered one-vertex
+    # extensions of each 8-vertex class with alpha + 1 >= 5 and computes
+    # homology where the child's independence number allows it
+    assert (sweep["graphs_examined"], sweep["homology_computed"]) == (292_290, 46_959)
 
     # Euler-Poincare over three fields, 100 random cases
     for _ in range(100):

@@ -1,8 +1,4 @@
-"""Smoke test: the quick demos run to completion.
-
-`demos/03_extremal_search.py` is left out: its exhaustive searches take
-about 19 s on a 2-vCPU VM, and `search` is covered by the acceptance tests.
-"""
+"""Smoke test: the demos run to completion."""
 
 import os
 import subprocess
@@ -17,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo", [
     "01_betti_basics.py",
     "02_constants_and_bounds.py",
+    "03_extremal_search.py",
     "04_hochster_and_duality.py",
 ])
 def test_demo_runs(demo):

@@ -20,8 +20,8 @@ from flagbetti.graphs import (
     encode_graph6,
     parse_graph6,
 )
-from flagbetti.homology import GF3
-from flagbetti.invariants import b_graph, conjecture_power
+from flagbetti.homology import GF3, BettiVector
+from flagbetti.invariants import b_graph, betti_graph, conjecture_power
 from flagbetti.search import (
     GENERATOR_CAPS,
     conjecture_checks,
@@ -169,8 +169,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("trifree", [False, True])
     def test_children_pass_checked_constructor(self, trifree):
         # _child builds without Graph's validation, so each child, over
-        # the neighbourhoods that _classes and the n = 9 sweep extend by,
-        # must be a graph that the validating constructor accepts unchanged
+        # every neighbourhood _extensions may yield, must be a graph that
+        # the validating constructor accepts unchanged
         rng = random.Random(5)
         for _ in range(40):
             parent = random_graph(rng, rng.randint(0, 7), rng.random() / (3 if trifree else 1))
@@ -423,6 +423,13 @@ class TestMaximize:
         with pytest.raises(ValueError, match="unknown metric"):
             maximize("diameter", "all", n=3)
 
+    def test_size_and_graphs_refused_together(self):
+        # n would be reported, and its bound applied, for graphs of another size
+        with pytest.raises(ValueError, match="exactly one of n"):
+            maximize("b", n=5, graphs=[complete(3)])
+        with pytest.raises(ValueError, match="exactly one of n"):
+            maximize("b")
+
 
 class TestConjectureChecks:
     def test_shape_and_small_case(self):
@@ -468,11 +475,40 @@ class TestVanishingSweep:
             assert alpha == best
 
     @pytest.mark.parametrize("n, examined, computed",
-                             [(0, 1, 0), (1, 1, 1), (6, 156, 36), (7, 1044, 359)])
+                             [(0, 1, 0), (1, 1, 1), (6, 160, 37), (7, 1578, 533)])
     def test_counts(self, n, examined, computed):
+        # examined: the filtered children of the parents with alpha + 1 at
+        # least n // 2 + 1; computed: those whose own alpha reaches it
         rep = flag_vanishing_sweep(n)
         assert (rep["graphs_examined"], rep["homology_computed"]) == (examined, computed)
         assert rep["pass"]
+
+    @pytest.mark.parametrize("n, classes", [(1, 1), (2, 1), (3, 3), (4, 4), (5, 20), (6, 36),
+                                            (7, 359), (8, 930)])
+    def test_computes_every_class_that_can_fail(self, monkeypatch, n, classes):
+        # the graphs given homology are, up to isomorphism, exactly the
+        # classes whose independence number clears the threshold
+        seen = set()
+        monkeypatch.setattr(search, "betti_graph",
+                            lambda g, f: seen.add(canonical_form(g)) or betti_graph(g, f))
+        assert flag_vanishing_sweep(n)["pass"]
+        expected = {encode_graph6(g) for g in enumerate_graphs(n)
+                    if max(f.bit_count() for f in independence_complex(g).facets) > n // 2}
+        assert len(expected) == classes
+        assert seen == expected
+
+    @pytest.mark.parametrize("n, word", [(6, "E???"), (7, "F????")])
+    def test_planted_violation_is_reported(self, monkeypatch, n, word):
+        # a fake b_{n//2} = 1 on the edgeless graph alone must be the one violation
+        def planted(g, f):
+            if not any(g.adj):
+                return BettiVector(((n // 2, 1),), f)
+            return betti_graph(g, f)
+
+        monkeypatch.setattr(search, "betti_graph", planted)
+        rep = flag_vanishing_sweep(n)
+        assert not rep["pass"]
+        assert rep["violations"] == [{"graph6": word, "degrees": [(n // 2, 1)]}]
 
 
 class TestMoonMoser:
