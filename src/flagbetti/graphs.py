@@ -298,17 +298,17 @@ def _is_bipartite(g: Graph) -> bool:
     return True
 
 
-def _is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        new = g.adj[v] & ~seen
-        seen |= new
-        stack.extend(bits(new))
-    return seen == g.vertex_mask
+def _component(adj: tuple[int, ...], live: int) -> int:
+    """The vertices of live reachable within live from its lowest vertex,
+    as a mask (0 when live is empty)."""
+    comp = frontier = live & -live
+    while frontier:
+        reach = 0
+        for v in bits(frontier):
+            reach |= adj[v]
+        frontier = reach & live & ~comp
+        comp |= frontier
+    return comp
 
 
 def _is_triangle_free(g: Graph) -> bool:
@@ -325,7 +325,7 @@ def graph_predicates(g: Graph) -> dict:
         "mindeg": min((g.degree(v) for v in range(g.n)), default=None),
         "is_triangle_free": _is_triangle_free(g),
         "is_bipartite": _is_bipartite(g),
-        "is_connected": _is_connected(g),
+        "is_connected": _component(g.adj, g.vertex_mask) == g.vertex_mask,
         "isolated_vertex_exists": any(nb == 0 for nb in g.adj) if g.n else False,
     }
 
@@ -407,9 +407,10 @@ def _min_code(adj: tuple[int, ...], cells: tuple[int, ...]) -> list[int]:
 
     A discrete partition allows one ordering, read off directly.
     Otherwise a depth-first search keeps code[v], the adjacency of each
-    unplaced v to the prefix: placing a vertex at k sets bit k on its
-    unplaced neighbours, and backtracking clears it.  tight says the
-    prefix equals the best codes' prefix, so a larger candidate ends the
+    unplaced v to the prefix.  Each call places one vertex: placing v at
+    k sets bit k on its unplaced neighbours, and backtracking clears it.
+    Candidates go in (code, index) order, and tight says the prefix
+    equals the best codes' prefix, so a larger candidate ends the
     siblings.  Swapping two twins is an automorphism, so twins share a
     cell and, while unplaced, a code; only the lowest-indexed unplaced
     member of a twin class is tried at each position."""
@@ -439,50 +440,27 @@ def _min_code(adj: tuple[int, ...], cells: tuple[int, ...]) -> list[int]:
     best: list[int] = []
 
     def dfs(k: int, used: int, tight: bool) -> bool:
-        """Search below the prefix of length k; whether best improved.
-        Positions with one candidate are filled in a loop, not a call."""
+        """Place a vertex at position k and search on; whether best improved."""
         nonlocal best
+        if k == n:
+            # a leaf no better than best is reached only equal to it
+            if not tight:
+                best = placed[:]
+            return not tight
         improved = False
-        undo = []
-        while True:
-            if k == n:
-                # a leaf no better than best is reached only equal to it
-                if not tight:
-                    best = placed[:]
-                    improved = True
+        bit = 1 << k
+        for c in sorted([code[v] << shift | v for v in bits(slot_cell[k] & ~used)
+                         if not lower_twins[v] & ~used]):
+            ck = c >> shift
+            if tight and ck > best[k]:
                 break
-            cands = [v for v in bits(slot_cell[k] & ~used) if not lower_twins[v] & ~used]
-            bit = 1 << k
-            if len(cands) == 1:
-                v = cands[0]
-                ck = code[v]
-                if tight:
-                    if ck > best[k]:
-                        break
-                    tight = ck == best[k]
-                placed[k] = ck
-                nbrs = bits(adj[v] & ~used)
-                for u in nbrs:
-                    code[u] |= bit
-                undo.append((nbrs, bit))
-                used |= 1 << v
-                k += 1
-                continue
-            for c in sorted([code[v] << shift | v for v in cands]):
-                ck = c >> shift
-                if tight and ck > best[k]:
-                    break
-                v = c & low
-                placed[k] = ck
-                nbrs = bits(adj[v] & ~used)
-                for u in nbrs:
-                    code[u] |= bit
-                if dfs(k + 1, used | 1 << v, tight and ck == best[k]):
-                    improved = tight = True
-                for u in nbrs:
-                    code[u] ^= bit
-            break
-        for nbrs, bit in undo:
+            v = c & low
+            placed[k] = ck
+            nbrs = bits(adj[v] & ~used)
+            for u in nbrs:
+                code[u] |= bit
+            if dfs(k + 1, used | 1 << v, tight and ck == best[k]):
+                improved = tight = True
             for u in nbrs:
                 code[u] ^= bit
         return improved

@@ -63,13 +63,15 @@ class FieldSpec:
                 raise ValueError(f"p={self.p} is not a usable prime")
         elif self.variant != "rational":
             raise ValueError(f"unknown field variant {self.variant!r}")
+        elif self.p is not None:
+            raise ValueError(f"the rational field takes no p, got p={self.p}")
 
     @classmethod
     def parse(cls, name: str) -> "FieldSpec":
         name = name.strip().lower()
         if name in ("rational", "rationals", "q"):
             return cls("rational")
-        if name.startswith("gf") and name[2:].isdecimal():
+        if name.startswith("gf") and name[2:].isascii() and name[2:].isdecimal():
             return cls("prime", int(name[2:]))
         raise ValueError(f"unknown field {name!r}; use gf<p> or rational")
 

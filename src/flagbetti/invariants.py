@@ -41,7 +41,7 @@ from functools import lru_cache
 from math import comb
 
 from .complexes import Complex, _membership, independence_complex, minimal_nonfaces
-from .graphs import Graph, bits, graph_predicates, induced
+from .graphs import Graph, _component, bits, graph_predicates, induced
 from .homology import GF2, BettiVector, FieldSpec, betti
 
 __all__ = [
@@ -380,13 +380,7 @@ def betti_graph(g: Graph, field: FieldSpec = GF2) -> BettiVector:
         return BettiVector((), field)
     total = {-1: 1}  # the empty complex, the unit of the join
     while live:
-        comp = frontier = live & -live
-        while frontier:
-            reach = 0
-            for v in bits(frontier):
-                reach |= g.adj[v]
-            frontier = reach & live & ~comp
-            comp |= frontier
+        comp = _component(g.adj, live)
         live &= ~comp
         joined: dict[int, int] = {}
         for j, b in betti(independence_complex(induced(g, comp)), field).by_degree:

@@ -434,7 +434,7 @@ class TestCheck:
     def test_field_option(self, runner):
         res = invoke(runner, ["--field", "gf3", "betti", "--graph6", "D~{"])
         assert json.loads(res.output)["field"] == "gf3"
-        for name in ("bogus", "gfx", "gf"):
+        for name in ("bogus", "gfx", "gf", "gf\u0663", "gf\uff13"):
             res = invoke(runner, ["--field", name, "betti", "--graph6", "D~{"])
             assert res.exit_code == 2
             assert json.loads(res.stderr)["error"] == f"unknown field {name!r}; use gf<p> or rational"

@@ -60,6 +60,19 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec.parse("real")
 
+    def test_parse_refuses_non_ascii_digits(self):
+        # str.isdecimal accepts every Unicode digit: Arabic-Indic and full-width 3
+        for name in ("gf\u0663", "gf\uff13", "gf1\u0661"):
+            with pytest.raises(ValueError, match="unknown field"):
+                FieldSpec.parse(name)
+
+    def test_rational_refuses_p(self):
+        with pytest.raises(ValueError, match="takes no p"):
+            FieldSpec("rational", 5)
+        with pytest.raises(ValueError, match="takes no p"):
+            FieldSpec("rational", 0)
+        assert FieldSpec("rational", None) == RATIONALS
+
     def test_str(self):
         assert str(GF3) == "gf3"
         assert str(RATIONALS) == "rational"
