@@ -59,7 +59,7 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.variant == "prime":
-            if self.p is None or not (2 <= self.p < 2**31) or not _is_prime(self.p):
+            if not isinstance(self.p, int) or not (2 <= self.p < 2**31) or not _is_prime(self.p):
                 raise ValueError(f"p={self.p} is not a usable prime")
         elif self.variant != "rational":
             raise ValueError(f"unknown field variant {self.variant!r}")

@@ -73,6 +73,12 @@ class TestFieldSpec:
             FieldSpec("rational", 0)
         assert FieldSpec("rational", None) == RATIONALS
 
+    def test_prime_refuses_a_non_integer_p(self):
+        # 3.0 == 3, so it would compare equal to GF3 and fail inside the rank
+        for p in (3.0, None, "3"):
+            with pytest.raises(ValueError, match="usable prime"):
+                FieldSpec("prime", p)
+
     def test_str(self):
         assert str(GF3) == "gf3"
         assert str(RATIONALS) == "rational"
