@@ -126,8 +126,16 @@ def boundary_matrices(k: Complex) -> list[list[int]]:
     layers = _faces_by_dim(k)
     mats = []
     for lower, upper in zip(layers, layers[1:]):
-        row_bit = {f: 1 << i for i, f in enumerate(lower)}
-        mats.append([sum(row_bit[f & ~(1 << v)] for v in bits(f)) for f in upper])
+        index = {f: i for i, f in enumerate(lower)}  # face -> its row
+        cols = []
+        for f in upper:
+            col, rest = 0, f
+            while rest:  # drop each vertex of f, from the top
+                top = 1 << rest.bit_length() - 1
+                col |= 1 << index[f ^ top]
+                rest ^= top
+            cols.append(col)
+        mats.append(cols)
     return mats
 
 

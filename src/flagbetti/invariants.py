@@ -382,6 +382,9 @@ def betti_graph(g: Graph, field: FieldSpec = GF2) -> BettiVector:
     while live:
         comp = _component(g.adj, live)
         live &= ~comp
+        if comp.bit_count() == 2:  # an edge: Ind(K2) is S^0, and joining S^0 suspends
+            total = {i + 1: a for i, a in total.items()}
+            continue
         joined: dict[int, int] = {}
         for j, b in betti(independence_complex(induced(g, comp)), field).by_degree:
             for i, a in total.items():

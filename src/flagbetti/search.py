@@ -43,7 +43,6 @@ import os
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import islice
 from typing import Iterable, Iterator
 
 from .complexes import all_faces, class_membership, independence_complex, neighbourhood_complex
@@ -151,10 +150,10 @@ def enumerate_graphs(n: int, cls: str = "all") -> list[Graph]:
 # ---------------------------------------------------------------------------
 # graph6 streaming
 
-def stream_graph6(lines: Iterable[str], strict: bool = True) -> Iterator[Graph]:
+def stream_graph6(lines: Iterable[str], strict: bool = True) -> Iterator[Graph | None]:
     """Parse graph6 lines lazily, skipping blank lines.  A bad line raises
-    Graph6Error naming its line number; in non-strict mode it is skipped
-    silently instead."""
+    Graph6Error naming its line number; in non-strict mode None is yielded
+    in its place, so that the caller can count it."""
     for lineno, raw in enumerate(lines, start=1):
         word = raw.strip()
         if not word:
@@ -164,6 +163,7 @@ def stream_graph6(lines: Iterable[str], strict: bool = True) -> Iterator[Graph]:
         except Graph6Error as exc:
             if strict:
                 raise Graph6Error(f"line {lineno}: {exc.reason}", exc.offset) from None
+            yield None
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +178,7 @@ class SearchReport:
     graph_class: str
     n: int
     graphs_examined: int = 0
+    skipped: int = 0
     max_value: int = -1
     maximizers: list = dc_field(default_factory=list)
     bound_name: str = ""
@@ -192,6 +193,7 @@ class SearchReport:
             "class": self.graph_class,
             "n": self.n,
             "graphs_examined": self.graphs_examined,
+            "skipped": self.skipped,
             "max_value": self.max_value,
             "maximizers": self.maximizers,
             "bound_name": self.bound_name,
@@ -237,11 +239,14 @@ def maximize(
     """Evaluate metric on every graph of graph_class, given as n for the
     internal generator or as graphs (exactly one; a supplied graph outside
     the class is refused), and report the exact maximum, all maximizers
-    (canonical graph6), and the applicable theorem bound.  With checkpoint_path, save
-    the report as it goes, with a sha256 digest of the graphs examined; with
-    resume too, restore the report saved there and skip the input graphs it
-    has examined.  An input that ends before them, or whose skipped graphs
-    do not give the saved digest, is refused."""
+    (canonical graph6), and the applicable theorem bound.  A None among the
+    graphs stands for an input line that could not be read, and is counted
+    in `skipped`.  With checkpoint_path, save the report as it goes, with a
+    sha256 digest of the graphs examined; with resume too, restore the
+    report saved there and skip the input graphs it has examined, counting
+    the unread lines among them again.  An input that ends before them, whose
+    skipped graphs do not give the saved digest, or that has more unread
+    lines among them than the report saved, is refused."""
     if graph_class not in GENERATOR_CAPS:
         raise ValueError(f"unknown class {graph_class!r}; choose from {sorted(GENERATOR_CAPS)}")
     if resume and not checkpoint_path:
@@ -264,22 +269,31 @@ def maximize(
         digest = hashlib.sha256()
     graphs = iter(graphs)
     if resume:
-        seen_sizes, saved = _resume(checkpoint_path, report, field, stream=n is None)
-        skipped = 0
-        for g in islice(graphs, report.graphs_examined):
+        seen_sizes, saved, saved_skipped = _resume(checkpoint_path, report, field, stream=n is None)
+        replayed = 0
+        for g in graphs if report.graphs_examined else ():
+            if g is None:
+                report.skipped += 1
+                continue
             _absorb(digest, g)
-            skipped += 1
-        if skipped < report.graphs_examined:
+            replayed += 1
+            if replayed == report.graphs_examined:
+                break
+        if replayed < report.graphs_examined:
             raise ValueError(
                 f"cannot resume from checkpoint {checkpoint_path}: the input ends after "
-                f"{skipped} graphs, before the {report.graphs_examined} it had examined"
+                f"{replayed} graphs, before the {report.graphs_examined} it had examined"
             )
-        if digest.hexdigest() != saved:
+        # the saved count may also hold unread lines after the last graph
+        if digest.hexdigest() != saved or report.skipped > saved_skipped:
             raise ValueError(
                 f"cannot resume from checkpoint {checkpoint_path}: the first "
-                f"{skipped} graphs of the input are not the ones it examined"
+                f"{replayed} graphs of the input are not the ones it examined"
             )
     for g in graphs:
+        if g is None:
+            report.skipped += 1
+            continue
         if check_class and not graph_predicates(g)[f"is_{graph_class}"]:
             raise ValueError(f"graph {encode_graph6(g)} is not in class {graph_class!r}")
         value = fn(g)
@@ -333,6 +347,7 @@ def _write_checkpoint(path: str, report: SearchReport, field: str, sizes: set[in
 # the fields a resume restores from a checkpoint, each with the test of its type
 _CHECKPOINT_FIELDS = {
     "graphs_examined": lambda v: type(v) is int and v >= 0,
+    "skipped": lambda v: type(v) is int and v >= 0,
     "max_value": lambda v: type(v) is int,
     "maximizers": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
     "violations": lambda v: isinstance(v, list),
@@ -342,11 +357,11 @@ _CHECKPOINT_FIELDS = {
 }
 
 
-def _resume(path: str, report: SearchReport, field: str, stream: bool) -> tuple[set[int], str]:
+def _resume(path: str, report: SearchReport, field: str, stream: bool) -> tuple[set[int], str, int]:
     """Load the report saved at path into the fresh report, if it is the
-    same search, and return the vertex counts it had seen and the digest
-    of the graphs it had examined.  A stream learns its n only at its end,
-    so a stream's n is not compared."""
+    same search, and return the vertex counts it had seen, the digest of
+    the graphs it had examined and its count of unread lines.  A stream
+    learns its n only at its end, so a stream's n is not compared."""
     try:
         with open(path, encoding="ascii") as fh:
             state = json.load(fh)
@@ -366,9 +381,9 @@ def _resume(path: str, report: SearchReport, field: str, stream: bool) -> tuple[
     malformed = [key for key, valid in _CHECKPOINT_FIELDS.items() if not valid(state[key])]
     if malformed:
         raise ValueError(f"cannot resume from checkpoint {path}: malformed {malformed}")
-    for key in _CHECKPOINT_FIELDS.keys() - {"sizes", "digest"}:
+    for key in _CHECKPOINT_FIELDS.keys() - {"sizes", "digest", "skipped"}:
         setattr(report, key, state[key])
-    return set(state["sizes"]), state["digest"]
+    return set(state["sizes"]), state["digest"], state["skipped"]
 
 
 # ---------------------------------------------------------------------------

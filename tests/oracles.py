@@ -2,17 +2,18 @@
 
 Everything here works from first principles (subset enumeration, dense
 elimination) and deliberately shares no code path with the library
-implementations it checks.  Four are the library's own earlier routines,
+implementations it checks.  Five are the library's own earlier routines,
 kept as the reference for what replaced them: the per-subset Hochster
 loop over `b_graph`, the plain integer bisection, the canonical labelling
-by colour ranks, and the fold loop that tries every live vertex.
+by colour ranks, the fold loop that tries every live vertex, and the
+boundary columns summed from one row bit per face.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 
 import numpy as np
 
@@ -64,6 +65,20 @@ def faces_oracle(k: Complex) -> list[int]:
         for mask in range(1 << k.n)
         if any(mask & f == mask for f in k.facets)
     ]
+
+
+def boundary_matrices_oracle(k: Complex) -> list[list[int]]:
+    """The boundary matrices by the loop `boundary_matrices` once ran, over
+    the faces of `faces_oracle` in layers sorted by mask: each row face
+    gets its bit 1 << row, and a column is the sum of the row bits of its
+    face less one vertex."""
+    faces = sorted(faces_oracle(k), key=lambda f: (f.bit_count(), f))
+    layers = [list(layer) for _, layer in groupby(faces, int.bit_count)]
+    mats = []
+    for lower, upper in zip(layers, layers[1:]):
+        row_bit = {f: 1 << i for i, f in enumerate(lower)}
+        mats.append([sum(row_bit[f & ~(1 << v)] for v in range(k.n) if f >> v & 1) for f in upper])
+    return mats
 
 
 def complex_checks_oracle(n: int, facets) -> bool:

@@ -250,6 +250,14 @@ class TestSearch:
         assert res.exit_code == 2
         assert json.loads(res.stderr)["error"].startswith("line 2: empty graph6 word")
 
+    def test_lenient_stream_counts_bad_lines(self, runner):
+        res = invoke(runner, ["search", "--stdin", "--no-strict"], input="D~{\n\nbad\n")
+        assert res.exit_code == 0
+        out = json.loads(res.output)
+        assert (out["graphs_examined"], out["skipped"], out["max_value"]) == (1, 1, 4)
+        res = invoke(runner, ["search", "--stdin", "--no-strict", "--tsv"], input="D~{\n\nbad\n")
+        assert res.output.split("\t")[:2] == ["5", "4"]
+
     def test_beta_over_cap(self, runner):
         word = encode_graph6(empty_graph(19)) + "\n"
         res = invoke(runner, ["search", "--metric", "beta", "--stdin"], input=word)
@@ -309,6 +317,18 @@ class TestSearch:
         res = invoke(runner, ["search", "--n", "4", "--checkpoint", str(ck), "--resume"])
         assert res.exit_code == 2
         assert "lacks ['sizes']" in json.loads(res.stderr)["error"]
+
+    def test_resume_refuses_checkpoint_without_skipped(self, runner, tmp_path):
+        ck = tmp_path / "ck.json"
+        invoke(runner, ["search", "--stdin", "--no-strict", "--checkpoint", str(ck)], input="Bw\nbad\n")
+        payload = json.loads(ck.read_text())
+        assert payload["skipped"] == 1
+        del payload["skipped"]
+        ck.write_text(json.dumps(payload))
+        res = invoke(runner, ["search", "--stdin", "--no-strict", "--checkpoint", str(ck), "--resume"],
+                     input="Bw\nbad\n")
+        assert res.exit_code == 2
+        assert "lacks ['skipped']" in json.loads(res.stderr)["error"]
 
     def test_resume_refuses_other_class(self, runner, tmp_path):
         ck = str(tmp_path / "ck.json")

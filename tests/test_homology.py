@@ -32,7 +32,7 @@ from flagbetti.homology import (
     total_betti,
 )
 from conftest import random_complex, random_graph
-from oracles import betti_oracle, betti_oracle_gf2, total_betti_oracle
+from oracles import betti_oracle, betti_oracle_gf2, boundary_matrices_oracle, total_betti_oracle
 
 FIELDS = (GF2, GF3, RATIONALS)
 # (field, the oracle's p) for the sparse GF(p)/Q rank routine
@@ -114,6 +114,16 @@ class TestBoundary:
     def test_void_rejected(self):
         with pytest.raises(ValueError):
             boundary_matrices(VOID)
+
+    def test_columns_equal_oracle(self, rng):
+        # 11 to 16 vertices, so faces have masks above 2^10
+        for _ in range(12):
+            n = rng.randint(11, 16)
+            facets = [sum(1 << v for v in rng.sample(range(n), rng.randint(3, 9))) for _ in range(4)]
+            k = from_facets(n, facets)
+            assert boundary_matrices(k) == boundary_matrices_oracle(k), facets
+        k = independence_complex(copies(3, cycle(5)))
+        assert boundary_matrices(k) == boundary_matrices_oracle(k)
 
 
 class TestBetti:

@@ -259,9 +259,31 @@ class TestGraphReductions:
         # the path 0-1-2-3 loses 2 (N(0) inside N(2)), which leaves 3 isolated
         assert betti_graph(from_edges(4, [(0, 1), (1, 2), (2, 3)])).by_degree == ()
         assert sizes == []
-        # the path on 5 vertices folds to two edges: S^0 * S^0 = S^1
+        # the path on 5 vertices folds to two edges: S^0 * S^0 = S^1, with no call
         assert betti_graph(from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])).by_degree == ((1, 1),)
-        assert sizes == [2, 2]
+        assert sizes == []
+
+    def test_edge_components_suspend(self, monkeypatch):
+        sizes = []
+
+        def counting_betti(k, field):
+            sizes.append(k.n)
+            return betti(k, field)
+
+        monkeypatch.setattr(invariants, "betti", counting_betti)
+        # Ind(C5) is S^1; the edge suspends it to S^2, and only C5 reaches betti
+        for field in (GF2, GF3, RATIONALS):
+            assert betti_graph(disjoint_union(cycle(5), complete(2)), field).by_degree == ((2, 1),)
+        assert sizes == [5, 5, 5]
+        sizes.clear()
+        # four edges: S^0 joined four times is S^3
+        assert betti_graph(copies(4, complete(2))).by_degree == ((3, 1),)
+        # an isolated vertex makes a cone, edge or not
+        assert betti_graph(disjoint_union(complete(2), empty_graph(1))).by_degree == ()
+        assert sizes == []
+        # K_m for m >= 3 stays on betti: K4 makes exactly one call
+        assert b_graph(complete(4)) == 3
+        assert sizes == [4]
 
 
 class TestHochster:

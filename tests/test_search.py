@@ -214,9 +214,10 @@ class TestStreaming:
         assert err.value.offset == 3
 
     def test_lenient_skips(self):
-        lines = ["Bw\n", "!!bad\n", "A_\n"]
+        lines = ["Bw\n", "!!bad\n", "\n", "A_\n"]
         got = list(stream_graph6(lines, strict=False))
-        assert len(got) == 2
+        # the bad line is yielded as None, so it can be counted; the blank one is not
+        assert [g is None for g in got] == [False, True, False]
 
 
 class TestMaximize:
@@ -296,6 +297,48 @@ class TestMaximize:
         del whole["wall_time"], resumed["wall_time"]
         assert resumed == whole
 
+    @pytest.mark.parametrize("stop, saved", [(50, 50), (120, 100), (156, 156)])
+    def test_resume_counts_skipped_lines_once(self, monkeypatch, tmp_path, stop, saved):
+        # unread lines before, among and after the 156 classes of n = 6
+        words = [encode_graph6(g) + "\n" for g in enumerate_graphs(6, "all")]
+        for at in (156, 130, 75, 50, 50, 0):
+            words.insert(at, "!!bad\n")
+        path = str(tmp_path / "ck.json")
+
+        def run(**kwargs):
+            return maximize("b", graphs=stream_graph6(words, strict=False), checkpoint_path=path,
+                            **kwargs)
+
+        whole = run().to_json_dict()
+        assert (whole["graphs_examined"], whole["skipped"]) == (156, 6)
+        calls = []
+
+        def cut(g, fieldspec):
+            if len(calls) == stop:
+                raise KeyboardInterrupt
+            calls.append(g)
+            return b_graph(g, fieldspec)
+
+        monkeypatch.setattr(search, "CHECKPOINT_EVERY", 50)
+        monkeypatch.setattr(search, "b_graph", cut)
+        if stop < 156:
+            with pytest.raises(KeyboardInterrupt):
+                run()
+        else:
+            run()
+        assert json.loads((tmp_path / "ck.json").read_text())["graphs_examined"] == saved
+        monkeypatch.setattr(search, "b_graph", b_graph)
+        resumed = run(resume=True).to_json_dict()
+        del whole["wall_time"], resumed["wall_time"]
+        assert resumed == whole
+
+    def test_resume_refuses_more_skipped_lines(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        maximize("b", graphs=stream_graph6(["Bw\n", "A_\n"], strict=False), checkpoint_path=path)
+        with pytest.raises(ValueError, match="cannot resume .* not the ones it examined"):
+            maximize("b", graphs=stream_graph6(["Bw\n", "!!\n", "A_\n"], strict=False),
+                     checkpoint_path=path, resume=True)
+
     def test_resume_keeps_checkpointed_state(self, tmp_path):
         path = tmp_path / "ck.json"
         k5, empty5 = complete(5), empty_graph(5)
@@ -328,6 +371,15 @@ class TestMaximize:
         del payload["sizes"]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="cannot resume .* lacks"):
+            maximize("b", graphs=[empty_graph(3)] * 2, checkpoint_path=str(path), resume=True)
+
+    def test_resume_refuses_checkpoint_without_skipped(self, tmp_path):
+        path = tmp_path / "ck.json"
+        maximize("b", graphs=[empty_graph(3)], checkpoint_path=str(path))
+        payload = json.loads(path.read_text())
+        del payload["skipped"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"cannot resume .* lacks \['skipped'\]"):
             maximize("b", graphs=[empty_graph(3)] * 2, checkpoint_path=str(path), resume=True)
 
     def test_resume_refuses_checkpoint_without_digest(self, tmp_path):
