@@ -9,10 +9,14 @@ exact steps that keep the reduced homology of Ind(G) over every field:
   homotopy equivalent to Ind(G - v), so v is dropped;
 - a disjoint union of graphs has the join of their independence
   complexes, and over a field the reduced Betti numbers of a join are
-  the convolution of the parts', one degree up per join.
+  the convolution of the parts', one degree up per join;
+- an edge component has Ind(K2) = S^0, and a join with S^0 is a
+  suspension, so it shifts every degree up by one.  After the fold a
+  leaf lies only in such a component, so this is the leaf lemma,
+  Ind(G) ~ susp Ind(G - u - v) for an edge {u, v} (Adamaszek, JCTA 2012).
 
-Homology runs only on the connected, fold-irreducible parts.  The
-unreduced path, `betti(independence_complex(g), field)`, stays the
+Homology runs only on the connected, fold-irreducible parts with at
+least three vertices.  The unreduced path, `betti(independence_complex(g), field)`, stays the
 oracle the reductions are tested against.
 
 `hochster_beta` fills one table of Betti vectors, one per vertex subset
@@ -372,9 +376,10 @@ def betti_graph(g: Graph, field: FieldSpec = GF2) -> BettiVector:
     N(v) for u != v lets v go (the fold lemma, Ind(G) ~ Ind(G - v)); the
     connected components that are left give Ind(g) as the join of their
     independence complexes, whose Betti numbers over a field are the
-    parts' convolved, b_k = sum of a_i * b_j over i + j + 1 = k.  Only
-    those components reach `betti`.  The graph with no vertices gives
-    b_-1 = 1 (the empty complex)."""
+    parts' convolved, b_k = sum of a_i * b_j over i + j + 1 = k.  An edge
+    component is S^0, so it shifts every degree up by one, with no complex
+    built; only the components of three or more vertices reach `betti`.
+    The graph with no vertices gives b_-1 = 1 (the empty complex)."""
     live = _fold(g)
     if live is None:
         return BettiVector((), field)

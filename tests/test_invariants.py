@@ -262,15 +262,6 @@ class TestGraphReductions:
         # the path on 5 vertices folds to two edges: S^0 * S^0 = S^1, with no call
         assert betti_graph(from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])).by_degree == ((1, 1),)
         assert sizes == []
-
-    def test_edge_components_suspend(self, monkeypatch):
-        sizes = []
-
-        def counting_betti(k, field):
-            sizes.append(k.n)
-            return betti(k, field)
-
-        monkeypatch.setattr(invariants, "betti", counting_betti)
         # Ind(C5) is S^1; the edge suspends it to S^2, and only C5 reaches betti
         for field in (GF2, GF3, RATIONALS):
             assert betti_graph(disjoint_union(cycle(5), complete(2)), field).by_degree == ((2, 1),)
