@@ -1,6 +1,6 @@
 """Graph-level Betti quantities, growth-rate constants, and bound checks.
 
-`betti_graph` reduces a graph before it builds any complex, by three
+`betti_graph` reduces a graph before it builds any complex, by four
 exact steps that keep the reduced homology of Ind(G) over every field:
 
 - an isolated vertex makes Ind(G) a cone over the rest, which is

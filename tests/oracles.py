@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby, permutations
 
-import numpy as np
-
 from flagbetti.complexes import Complex
 from flagbetti.graphs import Graph, canonical_form, empty_graph, induced, parse_graph6
 from flagbetti.invariants import b_graph
@@ -134,60 +132,6 @@ def squash(k: Complex) -> Complex:
     return Complex(len(used), tuple(sorted(facets)))
 
 
-def betti_oracle_gf2(k: Complex) -> dict[int, int]:
-    """Reduced Betti numbers over GF(2) with dense numpy elimination on
-    boundary matrices built from the full face list."""
-    if k.is_void:
-        return {}
-    faces = sorted(faces_oracle(k), key=lambda m: (bin(m).count("1"), m))
-    by_dim: dict[int, list[int]] = {}
-    for f in faces:
-        by_dim.setdefault(bin(f).count("1") - 1, []).append(f)
-    top = max(by_dim)
-    dims = sorted(by_dim)
-    mats = {}
-    for d in range(0, top + 1):
-        lower = {f: i for i, f in enumerate(by_dim.get(d - 1, []))}
-        upper = by_dim.get(d, [])
-        a = np.zeros((len(lower), len(upper)), dtype=np.uint8)
-        for j, f in enumerate(upper):
-            for v in range(k.n):
-                if f >> v & 1:
-                    a[lower[f & ~(1 << v)], j] = 1
-        mats[d] = a
-    ranks = {d: gf2_rank_oracle(m) for d, m in mats.items()}
-    out = {}
-    for d in dims:
-        b = len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        if b:
-            out[d] = b
-    return out
-
-
-def gf2_rank_oracle(a: np.ndarray) -> int:
-    a = a.copy() % 2
-    rank = 0
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[[r, piv]] = a[[piv, r]]
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] ^= a[r]
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return rank
-
-
 def dense_rank_oracle(a: list[list[int]], p: int | None) -> int:
     """Rank of an integer matrix over GF(p), or over Q when p is None, by
     dense Gaussian elimination on a copy."""
@@ -244,7 +188,7 @@ def betti_oracle(k: Complex, p: int | None) -> dict[int, int]:
 
 
 def total_betti_oracle(k: Complex) -> int:
-    return sum(betti_oracle_gf2(k).values())
+    return sum(betti_oracle(k, 2).values())
 
 
 def minimal_nonfaces_oracle(k: Complex) -> set[int]:

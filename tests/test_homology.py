@@ -32,7 +32,7 @@ from flagbetti.homology import (
     total_betti,
 )
 from conftest import random_complex, random_graph
-from oracles import betti_oracle, betti_oracle_gf2, boundary_matrices_oracle, total_betti_oracle
+from oracles import betti_oracle, boundary_matrices_oracle, total_betti_oracle
 
 FIELDS = (GF2, GF3, RATIONALS)
 # (field, the oracle's p) for the sparse GF(p)/Q rank routine
@@ -157,13 +157,13 @@ class TestBetti:
     def test_ind_c5_is_circle(self):
         k = independence_complex(cycle(5))
         assert betti(k).by_degree == ((1, 1),)
-        assert betti_oracle_gf2(k) == {1: 1}
+        assert betti_oracle(k, 2) == {1: 1}
 
     def test_matches_gf2_oracle(self, rng):
         for _ in range(60):
             k = random_complex(rng, rng.randint(1, 8))
             got = dict(betti(k, GF2).by_degree)
-            assert got == betti_oracle_gf2(k)
+            assert got == betti_oracle(k, 2)
 
     def test_projective_plane_field_dependence(self):
         assert total_betti(RP2, GF2) == 2

@@ -1,6 +1,8 @@
-"""What `import flagbetti.cli` loads, the options the CLI no longer has, and
-that every name a module exports resolves."""
+"""What `import flagbetti.cli` loads, what the tests and demos import, the
+options the CLI no longer has, and that every name a module exports
+resolves."""
 
+import ast
 import importlib
 import json
 import os
@@ -15,7 +17,8 @@ from click.testing import CliRunner
 import flagbetti
 from flagbetti.cli import main
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_cli_import_loads_no_numpy_or_process_pool():
@@ -30,6 +33,25 @@ def test_cli_import_loads_no_numpy_or_process_pool():
     loaded = set(json.loads(out))
     assert "flagbetti" in loaded
     assert not loaded & {"numpy", "concurrent", "multiprocessing"}
+
+
+def test_tests_and_demos_import_only_stdlib_click_pytest():
+    # parsed, not imported, so a module missing from the machine still shows
+    allowed = {"pytest", "click", "flagbetti", "oracles", "conftest"}
+    outside = []
+    for path in sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in sys.stdlib_module_names and top not in allowed:
+                    outside.append(f"{path.name}: {top}")
+    assert outside == []
 
 
 def test_beta_workers_is_a_usage_error():
