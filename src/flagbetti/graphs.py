@@ -52,6 +52,8 @@ def _bits_table(width: int) -> tuple[tuple[int, ...], ...]:
 
 
 _BITS_TABLE = _bits_table(10)
+# the six bits of each graph6 character in reverse order
+_REVERSED_SIX = tuple(int(f"{c:06b}"[::-1], 2) for c in range(64))
 
 
 def bits(mask: int) -> tuple[int, ...] | list[int]:
@@ -157,21 +159,21 @@ def parse_graph6(text: str) -> Graph:
         if len(text) < 1 + nbytes:
             raise Graph6Error("truncated graph6 word", len(text))
         raise Graph6Error("trailing garbage after graph6 word", 1 + nbytes)
+    # the upper triangle x(0,1) x(0,2) x(1,2) ... is read from the top bit
+    # of each character down; acc holds it bit-reversed, x(0,1) at bit 0, so
+    # column j, x(0,j) ... x(j-1,j), is the next j bits from the bottom
     acc = 0
     for i, ch in enumerate(text[1:], start=1):
         code = ord(ch)
         if not 63 <= code <= 126:
             raise Graph6Error("character out of graph6 range", i)
-        acc = acc << 6 | code - 63
-    # the upper triangle x(0,1) x(0,2) x(1,2) ... is read from the top bit down
+        acc |= _REVERSED_SIX[code - 63] << 6 * (i - 1)
     adj = [0] * n
-    k = 6 * nbytes
     for j in range(1, n):
-        for i in range(j):
-            k -= 1
-            if acc >> k & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+        adj[j] = col = acc & ((1 << j) - 1)
+        acc >>= j
+        for i in bits(col):
+            adj[i] |= 1 << j
     return _trusted_graph(n, tuple(adj))
 
 

@@ -1,7 +1,8 @@
 """Graph-level Betti quantities, growth-rate constants, and bound checks.
 
-`betti_graph` reduces a graph before it builds any complex, by four
-exact steps that keep the reduced homology of Ind(G) over every field:
+`betti_graph` works out the reduced homology of Ind(G[w]) for the vertex
+subsets w it reaches, once per call each, starting from the whole vertex
+set, by five exact steps that keep the reduced homology over every field:
 
 - an isolated vertex makes Ind(G) a cone over the rest, which is
   contractible, so every reduced Betti number is 0;
@@ -13,20 +14,23 @@ exact steps that keep the reduced homology of Ind(G) over every field:
 - an edge component has Ind(K2) = S^0, and a join with S^0 is a
   suspension, so it shifts every degree up by one.  After the fold a
   leaf lies only in such a component, so this is the leaf lemma,
-  Ind(G) ~ susp Ind(G - u - v) for an edge {u, v} (Adamaszek, JCTA 2012).
+  Ind(G) ~ susp Ind(G - u - v) for an edge {u, v} (Adamaszek, JCTA 2012);
+- the paper's deletion sequence Ind(G) = Ind(G - v) u v * Ind(G - N[v])
+  at a vertex v of greatest degree (`_deletion_step`).  The vector of G
+  is that of G - v plus that of G - N[v] one degree up whenever the
+  inclusion of Ind(G - N[v]) into Ind(G - v) is zero in homology, and two
+  conditions prove it is: the two vectors have disjoint supports, or some
+  neighbour of v is dominated by v.
 
-Homology runs only on the connected, fold-irreducible parts with at
-least three vertices.  The unreduced path, `betti(independence_complex(g), field)`, stays the
-oracle the reductions are tested against.
+Homology runs only on complete components K_m with m >= 3, whose Ind is
+m points, and on the connected, fold-irreducible components where both
+conditions fail.  The unreduced path,
+`betti(independence_complex(g), field)`, stays the oracle the reductions
+are tested against.
 
-`hochster_beta` fills one table of Betti vectors, one per vertex subset
-in ascending order, by the paper's deletion sequence
-Ind(G) = Ind(G - v) u v * Ind(G - N[v]).  The vector of G is that of
-G - v plus that of G - N[v] one degree up whenever the inclusion of
-Ind(G - N[v]) into Ind(G - v) is zero in homology, and two conditions
-prove it is: the two vectors have disjoint supports, or some neighbour
-of v is dominated by v.  Only the subsets where both fail reach
-`betti_graph`.
+`hochster_beta` takes the same `_deletion_step` over one table of Betti
+vectors, one per vertex subset in ascending order.  Only the subsets
+where both conditions fail reach `betti_graph`.
 
 All bound comparisons pit an exact integer against a rational interval
 enclosing the (usually irrational) right-hand side, so a reported
@@ -347,11 +351,10 @@ def b_graph(g: Graph, field: FieldSpec = GF2) -> int:
     return betti_graph(g, field).total()
 
 
-def _fold(g: Graph) -> int | None:
-    """The vertices left after the fold lemma, as a mask, or None when
-    some vertex ends up with no neighbour (Ind is a cone)."""
-    adj = g.adj
-    live = g.vertex_mask
+def _fold(adj: tuple[int, ...], live: int) -> int | None:
+    """The vertices of live left after the fold lemma within G[live], as a
+    mask, or None when some vertex ends up with no neighbour (Ind is a
+    cone)."""
     changed = True
     while changed:
         changed = False
@@ -360,8 +363,9 @@ def _fold(g: Graph) -> int | None:
             if not nv:
                 return None
             # a neighbour u of v has v in N(u) - N(v), so cannot fold v
-            for u in bits(live & ~nv & ~(1 << v)):
-                if not adj[u] & live & ~nv:  # N(u) inside N(v): drop v
+            rest = live & ~nv
+            for u in bits(rest & ~(1 << v)):
+                if not adj[u] & rest:  # N(u) inside N(v): drop v
                     live &= ~(1 << v)
                     changed = True
                     break
@@ -371,33 +375,55 @@ def _fold(g: Graph) -> int | None:
 def betti_graph(g: Graph, field: FieldSpec = GF2) -> BettiVector:
     """Reduced Betti numbers of the independence complex of g.
 
-    g is reduced first, and every step keeps the reduced homology: a
-    vertex with no neighbour makes Ind(g) a cone (all zeros); N(u) inside
-    N(v) for u != v lets v go (the fold lemma, Ind(G) ~ Ind(G - v)); the
-    connected components that are left give Ind(g) as the join of their
-    independence complexes, whose Betti numbers over a field are the
-    parts' convolved, b_k = sum of a_i * b_j over i + j + 1 = k.  An edge
-    component is S^0, so it shifts every degree up by one, with no complex
-    built; only the components of three or more vertices reach `betti`.
-    The graph with no vertices gives b_-1 = 1 (the empty complex)."""
-    live = _fold(g)
-    if live is None:
-        return BettiVector((), field)
-    total = {-1: 1}  # the empty complex, the unit of the join
-    while live:
-        comp = _component(g.adj, live)
-        live &= ~comp
-        if comp.bit_count() == 2:  # an edge: Ind(K2) is S^0, and joining S^0 suspends
-            total = {i + 1: a for i, a in total.items()}
-            continue
-        joined: dict[int, int] = {}
-        for j, b in betti(independence_complex(induced(g, comp)), field).by_degree:
-            for i, a in total.items():
-                joined[i + j + 1] = joined.get(i + j + 1, 0) + a * b
-        if not joined:  # an acyclic part makes the whole join acyclic
-            return BettiVector((), field)
-        total = joined
-    return BettiVector(tuple(sorted(total.items())), field)
+    The vector of each vertex subset w is worked out once per call and
+    kept in a dict, starting from the whole vertex set, and every step
+    keeps the reduced homology.  G[w] is folded first: a vertex with no
+    neighbour makes Ind a cone (all zeros), and N(u) inside N(v) for
+    u != v lets v go (the fold lemma, Ind(G) ~ Ind(G - v)).  The connected
+    components that are left give Ind as the join of their independence
+    complexes, whose Betti numbers over a field are the parts' convolved,
+    b_k = sum of a_i * b_j over i + j + 1 = k.  An edge component is S^0,
+    so it shifts every degree up by one.  A complete component on m >= 3
+    vertices, whose Ind is m points, goes to `betti`.  Any other component
+    C is settled by `_deletion_step` from the vectors of C - v and
+    C - N[v], two smaller subsets, and only when its two conditions fail
+    does Ind(C) reach `betti`.  The graph with no vertices gives b_-1 = 1
+    (the empty complex)."""
+    adj = g.adj
+    memo: dict[int, tuple] = {}
+
+    def component(comp: int) -> tuple:
+        vec = memo.get(comp)
+        if vec is None:
+            # K_m (m >= 3), whose Ind is m points, stays on betti
+            if any(adj[v] & comp != comp & ~(1 << v) for v in bits(comp)):
+                vec = _deletion_step(adj, comp, vector)
+            if vec is None:
+                vec = betti(independence_complex(induced(g, comp)), field).by_degree
+            memo[comp] = vec
+        return vec
+
+    def vector(w: int) -> tuple:
+        vec = memo.get(w)
+        if vec is not None:
+            return vec
+        live = _fold(adj, w)
+        total = {-1: 1} if live is not None else {}  # the empty complex, the unit of the join
+        while live and total:
+            comp = _component(adj, live)
+            live &= ~comp
+            if comp.bit_count() == 2:  # an edge: Ind(K2) is S^0, and joining S^0 suspends
+                total = {i + 1: a for i, a in total.items()}
+                continue
+            joined: dict[int, int] = {}
+            for j, b in component(comp):
+                for i, a in total.items():
+                    joined[i + j + 1] = joined.get(i + j + 1, 0) + a * b
+            total = joined  # an acyclic part makes the whole join acyclic
+        memo[w] = vec = tuple(sorted(total.items()))
+        return vec
+
+    return BettiVector(vector(g.vertex_mask), field)
 
 
 @dataclass(frozen=True)
@@ -443,23 +469,45 @@ def _dominated(adj: tuple[int, ...], w: int, v: int) -> bool:
     return any(not adj[u] & outside for u in bits(adj[v] & w))
 
 
+def _deletion_step(adj: tuple[int, ...], w: int, vector) -> tuple | None:
+    """The by_degree vector of Ind(G[w]) by the deletion sequence at v, a
+    vertex of greatest degree in G[w] (the lowest on ties), or None when
+    it cannot be settled there.
+
+    Ind(G[w]) is Ind(G[w] - v) with the cone v * Ind(G[w] - N[v]) glued
+    on; vector(mask) gives the vectors of those two smaller subsets.  When
+    v has no neighbour, Ind(G[w]) is a cone and the vector is zero.  When
+    the two vectors have disjoint supports, or some neighbour of v is
+    dominated by v, the inclusion Ind(G[w] - N[v]) -> Ind(G[w] - v) is zero
+    in homology over every field, and the long exact sequence gives the
+    first vector plus the second one degree up.  None means both
+    conditions fail."""
+    v, top, rest = -1, 0, w
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        deg = (adj[u] & w).bit_count()
+        if deg > top:
+            v, top = u, deg
+    if not top:
+        return ()
+    a, b = vector(w & ~(1 << v)), vector(w & ~adj[v] & ~(1 << v))
+    if _disjoint_supports(a, b) or _dominated(adj, w, v):
+        return _splice(a, b)
+    return None
+
+
 def hochster_beta(g: Graph, field: FieldSpec = GF2) -> HochsterReport:
     """Sum of b over all 2^n induced subgraphs, from one table of their
     reduced Betti vectors.
 
     Each vertex subset w adds b(G[w]) to the bucket of its size; sizes
     whose subgraphs all have b = 0 get no bucket.  The subsets are taken
-    in ascending order, and the vector of G[w] comes from the deletion
-    sequence at v, a vertex of greatest degree in G[w] (the lowest on
-    ties): Ind(G[w]) is Ind(G[w] - v) with the cone v * Ind(G[w] - N[v])
-    glued on, and both smaller subsets are already in the table.  When v
-    has no neighbour, Ind(G[w]) is a cone and the vector is zero.  When the
-    two vectors have disjoint supports, or some neighbour of v is dominated
-    by v, the inclusion Ind(G[w] - N[v]) -> Ind(G[w] - v) is zero in
-    homology over every field, and the long exact sequence gives the first
-    vector plus the second one degree up.  Only when both conditions fail
-    is G[w] handed to `betti_graph`.  Graphs with more than HOCHSTER_CAP
-    vertices are refused with a ValueError.
+    in ascending order, so `_deletion_step` finds the vectors of G[w] - v
+    and G[w] - N[v] already in the table.  Only when both of its
+    conditions fail is G[w] handed to `betti_graph`.  Graphs with more
+    than HOCHSTER_CAP vertices are refused with a ValueError.
     """
     if g.n > HOCHSTER_CAP:
         raise ValueError(f"hochster sum refused for n={g.n} > cap={HOCHSTER_CAP}")
@@ -469,20 +517,8 @@ def hochster_beta(g: Graph, field: FieldSpec = GF2) -> HochsterReport:
     hist = {0: 1}
     seen: dict[tuple, tuple] = {}  # one copy of each distinct vector
     for w in range(1, 1 << g.n):
-        v, top, rest = -1, 0, w
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            deg = (adj[u] & w).bit_count()
-            if deg > top:
-                v, top = u, deg
-        if not top:
-            continue
-        a, b = table[w & ~(1 << v)], table[w & ~adj[v] & ~(1 << v)]
-        if _disjoint_supports(a, b) or _dominated(adj, w, v):
-            vec = _splice(a, b)
-        else:
+        vec = _deletion_step(adj, w, table.__getitem__)
+        if vec is None:
             vec = betti_graph(induced(g, w), field).by_degree
         if vec:
             table[w] = vec = seen.setdefault(vec, vec)

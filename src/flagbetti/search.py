@@ -462,6 +462,22 @@ def _alpha_table(adj: tuple[int, ...]) -> list[int]:
     return alpha
 
 
+def _independence_number(adj: tuple[int, ...], s: int) -> int:
+    """alpha of the graph induced on the vertex bitmask s, by
+    `_alpha_table`'s recurrence at the lowest vertex v, but only over the
+    subsets it reaches.  When v has at most one neighbour in s, some
+    maximum independent set holds v, so s - v is not visited."""
+    if not s:
+        return 0
+    low = s & -s
+    nv = adj[low.bit_length() - 1] & s
+    take = 1 + _independence_number(adj, s & ~nv & ~low)
+    if not nv & (nv - 1):
+        return take
+    keep = _independence_number(adj, s ^ low)
+    return keep if keep > take else take
+
+
 def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     """Check that Ind(G) has no homology above n/2 - 1 for every n-vertex
     graph, n <= 9.
@@ -471,12 +487,13 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     repeats are harmless for a universally quantified check.  Homology in
     degree i needs an independent set of i+1 vertices, so only children
     whose independence number clears the threshold are built and
-    computed.  Each parent's `_alpha_table` gives its children's
-    independence numbers: a child whose new vertex has neighbourhood nb
-    has alpha = max(alpha[full], 1 + alpha[full & ~nb]), at most the
-    parent's plus one, so a parent below the threshold minus one is
-    skipped.  `graphs_examined` counts the children of the parents kept
-    (for n = 0, the one 0-vertex graph, whose alpha 0 is below it).
+    computed.  A child whose new vertex has neighbourhood nb has
+    alpha = max(alpha(P), 1 + alpha(P - nb)), at most the parent's plus
+    one, so a parent P whose `_independence_number` is below the
+    threshold minus one is skipped, and each parent kept builds one
+    `_alpha_table` for its children.  `graphs_examined` counts the
+    children of the parents kept (for n = 0, the one 0-vertex graph,
+    whose alpha 0 is below it).
     """
     if n < 0:
         raise ValueError(f"need n >= 0 vertices, got {n}")
@@ -489,10 +506,10 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     computed = 0
     violations = []
     for parent in _classes(n - 1, False) if n else ():
-        alpha = _alpha_table(parent.adj)
         full = parent.vertex_mask
-        if alpha[full] + 1 < min_alpha:
+        if _independence_number(parent.adj, full) + 1 < min_alpha:
             continue
+        alpha = _alpha_table(parent.adj)
         for nb in _extensions(parent, False):
             examined += 1
             if max(alpha[full], 1 + alpha[full & ~nb]) < min_alpha:

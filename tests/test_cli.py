@@ -4,11 +4,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from flagbetti import cli, verify
+from flagbetti import cli, complexes, verify
 from flagbetti.cli import main
 from flagbetti.complexes import FaceCapExceeded, read_facet_file, write_facet_file
 from flagbetti.constructions import fano_complex
-from flagbetti.graphs import empty_graph, encode_graph6, parse_graph6
+from flagbetti.graphs import cycle, empty_graph, encode_graph6, parse_graph6
 from flagbetti.invariants import Enclosure
 from flagbetti.search import enumerate_graphs
 
@@ -76,6 +76,17 @@ def test_face_cap_is_resource_error(runner, monkeypatch, tmp_path, target, args)
     res = invoke(runner, args)
     assert res.exit_code == 2
     assert json.loads(res.stderr) == {"error": str(FaceCapExceeded(10))}
+
+
+def test_fallback_over_face_cap_is_resource_error(runner, monkeypatch):
+    # GoOgok's Ind (38 faces) reaches betti, the only step that lists faces
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 37)
+    res = invoke(runner, ["betti", "--graph6", "GoOgok"])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": str(FaceCapExceeded(37))}
+    res = invoke(runner, ["betti", "--graph6", encode_graph6(cycle(60))])
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {"betti": {"19": 2}, "total": 2, "field": "gf2"}
 
 
 @pytest.mark.parametrize("args", [

@@ -78,7 +78,7 @@ class TestGraph6:
     def test_round_trip_random(self):
         rng = random.Random(7)
         for _ in range(1000):
-            g = random_graph(rng, rng.randint(0, 20), rng.random())
+            g = random_graph(rng, rng.randint(0, 62), rng.random())
             word = encode_graph6(g)
             assert word == graph6_encode_oracle(g)
             assert parse_graph6(word) == g

@@ -18,6 +18,7 @@ from flagbetti.graphs import (
     encode_graph6,
     from_edges,
     induced,
+    parse_graph6,
 )
 from flagbetti.homology import GF2, GF3, RATIONALS, BettiVector, betti, total_betti
 from flagbetti.invariants import (
@@ -215,6 +216,15 @@ class TestGraphBetti:
         assert betti_graph(copies(2, cycle(5))).by_degree == ((3, 1),)  # S^1 * S^1 = S^3
         assert betti_graph(empty_graph(0)).by_degree == ((-1, 1),)
 
+    def test_cycles_match_kozlov(self):
+        """Ind(C_n) is S^(k-1) v S^(k-1) for n = 3k, S^(k-1) for n = 3k+1
+        and S^k for n = 3k+2 (Kozlov)."""
+        for n in range(3, 61):
+            k, r = divmod(n, 3)
+            expect = (((k - 1, 2),), ((k - 1, 1),), ((k, 1),))[r]
+            for field in (GF2, GF3, RATIONALS):
+                assert betti_graph(cycle(n), field).by_degree == expect, (n, field)
+
 
 class TestGraphReductions:
     """betti_graph reduces g before homology; the unreduced path
@@ -230,13 +240,13 @@ class TestGraphReductions:
     def test_fold_matches_oracle_on_classes(self):
         for n in range(9):
             for g in enumerate_graphs(n, "all"):
-                assert invariants._fold(g) == fold_oracle(g), encode_graph6(g)
+                assert invariants._fold(g.adj, g.vertex_mask) == fold_oracle(g), encode_graph6(g)
 
     def test_fold_matches_oracle_on_random_graphs(self):
         rng = random.Random(23)
         for _ in range(2000):
             g = random_graph(rng, rng.randint(0, 14), rng.random())
-            assert invariants._fold(g) == fold_oracle(g), encode_graph6(g)
+            assert invariants._fold(g.adj, g.vertex_mask) == fold_oracle(g), encode_graph6(g)
 
     def test_isolated_vertex_is_a_cone(self, monkeypatch):
         # no complex is built: 2^23 faces would exceed the face cap
@@ -262,11 +272,11 @@ class TestGraphReductions:
         # the path on 5 vertices folds to two edges: S^0 * S^0 = S^1, with no call
         assert betti_graph(from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])).by_degree == ((1, 1),)
         assert sizes == []
-        # Ind(C5) is S^1; the edge suspends it to S^2, and only C5 reaches betti
+        # Ind(C5) is S^1, settled at vertex 0 as P4 (acyclic) plus S^0 one
+        # degree up; the edge suspends it to S^2, with no call
         for field in (GF2, GF3, RATIONALS):
             assert betti_graph(disjoint_union(cycle(5), complete(2)), field).by_degree == ((2, 1),)
-        assert sizes == [5, 5, 5]
-        sizes.clear()
+        assert sizes == []
         # four edges: S^0 joined four times is S^3
         assert betti_graph(copies(4, complete(2))).by_degree == ((3, 1),)
         # an isolated vertex makes a cone, edge or not
@@ -275,6 +285,22 @@ class TestGraphReductions:
         # K_m for m >= 3 stays on betti: K4 makes exactly one call
         assert b_graph(complete(4)) == 3
         assert sizes == [4]
+
+    def test_fallback_reaches_betti(self, monkeypatch):
+        """GoOgok is the one class with n <= 8 where both conditions fail at
+        the vertex chosen, so its whole Ind, 8 vertices, goes to betti."""
+        g = parse_graph6("GoOgok")
+        expect = {field: betti(independence_complex(g), field) for field in (GF2, GF3, RATIONALS)}
+        sizes = []
+
+        def counting_betti(k, field):
+            sizes.append(k.n)
+            return betti(k, field)
+
+        monkeypatch.setattr(invariants, "betti", counting_betti)
+        for field, bv in expect.items():
+            assert betti_graph(g, field) == bv
+        assert sizes == [8, 8, 8]
 
 
 class TestHochster:

@@ -525,6 +525,7 @@ class TestVanishingSweep:
                     if s & mask == s:
                         best[mask] = max(best[mask], bin(s).count("1"))
             assert alpha == best
+            assert [search._independence_number(g.adj, mask) for mask in range(1 << g.n)] == best
 
     @pytest.mark.parametrize("n, examined, computed",
                              [(0, 1, 0), (1, 1, 1), (6, 160, 37), (7, 1578, 533)])
