@@ -392,31 +392,29 @@ def betti_graph(g: Graph, field: FieldSpec = GF2) -> BettiVector:
     adj = g.adj
     memo: dict[int, tuple] = {}
 
-    def component(comp: int) -> tuple:
-        vec = memo.get(comp)
-        if vec is None:
-            # K_m (m >= 3), whose Ind is m points, stays on betti
-            if any(adj[v] & comp != comp & ~(1 << v) for v in bits(comp)):
-                vec = _deletion_step(adj, comp, vector)
-            if vec is None:
-                vec = betti(independence_complex(induced(g, comp)), field).by_degree
-            memo[comp] = vec
-        return vec
-
     def vector(w: int) -> tuple:
         vec = memo.get(w)
         if vec is not None:
             return vec
         live = _fold(adj, w)
-        total = {-1: 1} if live is not None else {}  # the empty complex, the unit of the join
+        # a cone (None) is acyclic; else start from the empty complex, the unit of the join
+        total = {} if live is None else {-1: 1}
         while live and total:
             comp = _component(adj, live)
             live &= ~comp
             if comp.bit_count() == 2:  # an edge: Ind(K2) is S^0, and joining S^0 suspends
                 total = {i + 1: a for i, a in total.items()}
                 continue
+            part = memo.get(comp)
+            if part is None:
+                # K_m (m >= 3), whose Ind is m points, stays on betti
+                if any(adj[v] & comp != comp & ~(1 << v) for v in bits(comp)):
+                    part = _deletion_step(adj, comp, vector)
+                if part is None:
+                    part = betti(independence_complex(induced(g, comp)), field).by_degree
+                memo[comp] = part
             joined: dict[int, int] = {}
-            for j, b in component(comp):
+            for j, b in part:
                 for i, a in total.items():
                     joined[i + j + 1] = joined.get(i + j + 1, 0) + a * b
             total = joined  # an acyclic part makes the whole join acyclic
