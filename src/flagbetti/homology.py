@@ -15,13 +15,21 @@ Two rank routines, both column reductions: GF(2) reduces the columns as
 they are, by XOR (the default field); odd GF(p) and the exact rationals
 share one routine that expands each column into a {row: coefficient}
 dict by the sign rule, with ints mod p or Fractions as coefficients.
+
+Clearing (Chen and Kerber): `betti` ranks each d_i without the columns
+whose faces are the lowest row of some column of d_{i+1}.  The lowest
+(largest) row of the column of a face t is s = t less its lowest vertex.
+The rank does not change, over any field: d_i d_{i+1} = 0 at column t
+makes column s of d_i +-1 times a combination of the columns of d_i at
+t's other rows, all smaller than s, so by induction on s, ascending, the
+kept columns span every column of d_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import compress, groupby
 
 from .complexes import Complex, all_faces
 from .graphs import bits
@@ -191,16 +199,34 @@ def matrix_rank(m: list[int], field: FieldSpec) -> int:
     return _rank_gf2(m) if p == 2 else _rank_sparse(m, p)
 
 
+def _kept_columns(m: list, upper: list[int]) -> list:
+    """The columns of m, in order, less those at the lowest row of some
+    column of upper, the matrix above m; they span what m spans (see the
+    module docstring on clearing)."""
+    keep = bytearray(b"\1") * len(m)
+    for col in upper:
+        keep[col.bit_length() - 1] = 0
+    return list(compress(m, keep))
+
+
 # ---------------------------------------------------------------------------
 # Betti numbers
 
 def betti(k: Complex, field: FieldSpec = GF2) -> BettiVector:
-    """Reduced Betti numbers of k.  The void complex is all zeros."""
+    """Reduced Betti numbers of k.  The void complex is all zeros.
+
+    Each d_i below the top is ranked without the columns cleared by
+    d_{i+1}: a face that is the lowest row of a column of d_{i+1} (that
+    column's face less its lowest vertex) has a column in the span of the
+    columns before it, so the rank is that of the full matrix over every
+    field.  matrix_rank runs once per matrix, on what is left."""
     if k.is_void:
         return BettiVector((), field)
     layers = _faces_by_dim(k)
+    mats = boundary_matrices(k)
+    kept = [_kept_columns(m, upper) for m, upper in zip(mats, mats[1:])] + mats[-1:]
     # ranks[j]: rank of the map out of layers[j]; zero out of C_{-1} and into the top
-    ranks = [0] + [matrix_rank(m, field) for m in boundary_matrices(k)] + [0]
+    ranks = [0] + [matrix_rank(m, field) for m in kept] + [0]
     out = []
     for j, faces in enumerate(layers):
         b = len(faces) - ranks[j] - ranks[j + 1]

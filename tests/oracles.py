@@ -2,11 +2,12 @@
 
 Everything here works from first principles (subset enumeration, dense
 elimination) and deliberately shares no code path with the library
-implementations it checks.  Five are the library's own earlier routines,
+implementations it checks.  Six are the library's own earlier routines,
 kept as the reference for what replaced them: the per-subset Hochster
 loop over `b_graph`, the plain integer bisection, the canonical labelling
-by colour ranks, the fold loop that tries every live vertex, and the
-boundary columns summed from one row bit per face.
+by colour ranks, the fold loop that tries every live vertex, the
+boundary columns summed from one row bit per face, and Betti numbers
+from the ranks of the full boundary matrices, before clearing.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from itertools import combinations, groupby, permutations
 
 from flagbetti.complexes import Complex
 from flagbetti.graphs import Graph, canonical_form, empty_graph, induced, parse_graph6
+from flagbetti.homology import boundary_matrices, matrix_rank
 from flagbetti.invariants import b_graph
 
 
@@ -185,6 +187,19 @@ def betti_oracle(k: Complex, p: int | None) -> dict[int, int]:
         if b:
             out[d] = b
     return out
+
+
+def betti_full_rank_oracle(k: Complex, field) -> dict[int, int]:
+    """Reduced Betti numbers by the path `betti` ran before clearing:
+    `matrix_rank` of every column of every matrix of `boundary_matrices`.
+    Layer j has one face per column of d_{j-1}, and the empty face alone
+    in layer 0."""
+    if k.is_void:
+        return {}
+    mats = boundary_matrices(k)
+    sizes = [1] + [len(m) for m in mats]
+    ranks = [0] + [matrix_rank(m, field) for m in mats] + [0]
+    return {j - 1: b for j, size in enumerate(sizes) if (b := size - ranks[j] - ranks[j + 1])}
 
 
 def total_betti_oracle(k: Complex) -> int:

@@ -23,6 +23,8 @@ from flagbetti.homology import (
     RATIONALS,
     BettiVector,
     FieldSpec,
+    _faces_by_dim,
+    _kept_columns,
     _rank_gf2,
     _rank_sparse,
     betti,
@@ -32,7 +34,8 @@ from flagbetti.homology import (
     total_betti,
 )
 from conftest import random_complex, random_graph
-from oracles import betti_oracle, boundary_matrices_oracle, total_betti_oracle
+from flagbetti.search import enumerate_graphs
+from oracles import betti_full_rank_oracle, betti_oracle, boundary_matrices_oracle, total_betti_oracle
 
 FIELDS = (GF2, GF3, RATIONALS)
 # (field, the oracle's p) for the sparse GF(p)/Q rank routine
@@ -265,6 +268,22 @@ class TestRanks:
             for m in boundary_matrices(k):
                 assert _rank_sparse(m, 2) == _rank_gf2(m)
 
+    def test_cleared_columns_keep_rank(self, rng):
+        # clearing drops from d_i the faces t less their lowest vertex, t
+        # over the layer above, and keeps the rank of d_i over every field
+        cases = [random_complex(rng, rng.randint(1, 8), rng.randint(1, 6)) for _ in range(40)]
+        cases += [RP2, fano_complex().complex_, independence_complex(copies(2, cycle(5)))]
+        for k in cases:
+            layers = _faces_by_dim(k)
+            mats = boundary_matrices(k)
+            for i, (m, upper) in enumerate(zip(mats, mats[1:] + [[]])):
+                kept = _kept_columns(m, upper)
+                for field in FIELDS:
+                    assert matrix_rank(kept, field) == matrix_rank(m, field), (k, i, field)
+                faces, above = layers[i + 1], layers[i + 2] if i + 2 < len(layers) else []
+                dropped = set(faces) - set(_kept_columns(faces, upper))
+                assert dropped == {t ^ (t & -t) for t in above}, (k, i)
+
     def test_total_betti_oracle_agreement(self, rng):
         for _ in range(20):
             k = random_complex(rng, rng.randint(1, 7))
@@ -287,3 +306,24 @@ class TestOddFieldOracle:
     def test_projective_plane(self, field, p):
         assert betti_oracle(RP2, 2) == dict(betti(RP2, GF2).by_degree) == {1: 1, 2: 1}
         assert betti_oracle(RP2, p) == dict(betti(RP2, field).by_degree) == {}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+class TestClearingOracle:
+    """betti clears each boundary matrix by the lowest rows of the one
+    above; ranking every full column set is the oracle."""
+
+    def test_independence_complexes_of_classes(self, field):
+        for n in range(8):
+            for g in enumerate_graphs(n, "all"):
+                k = independence_complex(g)
+                assert dict(betti(k, field).by_degree) == betti_full_rank_oracle(k, field), g
+
+    def test_random_complexes(self, rng, field):
+        for _ in range(200):
+            k = random_complex(rng, rng.randint(1, 9), rng.randint(1, 6))
+            assert dict(betti(k, field).by_degree) == betti_full_rank_oracle(k, field), k
+
+    def test_named_complexes(self, field):
+        for k in (RP2, fano_complex().complex_, independence_complex(copies(3, cycle(5))), EMPTY):
+            assert dict(betti(k, field).by_degree) == betti_full_rank_oracle(k, field), k
