@@ -33,8 +33,8 @@ from flagbetti.homology import (
     reduced_euler,
     total_betti,
 )
-from conftest import random_complex, random_graph
 from flagbetti.search import enumerate_graphs
+from conftest import random_complex, random_graph
 from oracles import betti_full_rank_oracle, betti_oracle, boundary_matrices_oracle, total_betti_oracle
 
 FIELDS = (GF2, GF3, RATIONALS)
@@ -269,20 +269,21 @@ class TestRanks:
                 assert _rank_sparse(m, 2) == _rank_gf2(m)
 
     def test_cleared_columns_keep_rank(self, rng):
-        # clearing drops from d_i the faces t less their lowest vertex, t
-        # over the layer above, and keeps the rank of d_i over every field
+        # clearing drops from d_i (i below the top) the faces t less their
+        # lowest vertex, t over the layer above, and keeps the rank of d_i
+        # over every field
         cases = [random_complex(rng, rng.randint(1, 8), rng.randint(1, 6)) for _ in range(40)]
         cases += [RP2, fano_complex().complex_, independence_complex(copies(2, cycle(5)))]
         for k in cases:
             layers = _faces_by_dim(k)
             mats = boundary_matrices(k)
-            for i, (m, upper) in enumerate(zip(mats, mats[1:] + [[]])):
+            for i, (m, upper) in enumerate(zip(mats, mats[1:])):
                 kept = _kept_columns(m, upper)
                 for field in FIELDS:
                     assert matrix_rank(kept, field) == matrix_rank(m, field), (k, i, field)
-                faces, above = layers[i + 1], layers[i + 2] if i + 2 < len(layers) else []
-                dropped = set(faces) - set(_kept_columns(faces, upper))
-                assert dropped == {t ^ (t & -t) for t in above}, (k, i)
+                # layers[i + 1] labels the columns of d_i, layers[i + 2] those of d_{i+1}
+                dropped = set(layers[i + 1]) - set(_kept_columns(layers[i + 1], upper))
+                assert dropped == {t ^ (t & -t) for t in layers[i + 2]}, (k, i)
 
     def test_total_betti_oracle_agreement(self, rng):
         for _ in range(20):
