@@ -288,8 +288,17 @@ def _drop_vertex(mask: int, v: int) -> int:
 # face enumeration and classification
 
 def all_faces(k: Complex) -> list[int]:
-    """Every face (including the empty face 0), sorted by (size, mask):
-    each facet's subsets, walked by sub = (sub - 1) & facet, into one set.
+    """Every face (including the empty face 0), sorted by (size, mask),
+    collected into one set facet by facet.
+
+    A facet of 4 or more vertices is split into low, its size // 2 lowest
+    vertices, and rest.  Each subset high of rest adds the block of high
+    joined with every subset of low, unless high | low is already listed:
+    the blocks of one facet are disjoint, so an earlier facet holds that
+    face, and all of its subsets are listed already.  Smaller facets walk
+    their subsets one by one (low is 0).  Both walk by
+    sub = (sub - 1) & mask.
+
     More than DEFAULT_FACE_CAP faces raise FaceCapExceeded, exactly.  A
     facet of s vertices raises before its walk if its 2^s subsets alone
     exceed the cap, and the count is checked after each facet, so at most
@@ -298,12 +307,28 @@ def all_faces(k: Complex) -> list[int]:
         raise ValueError("void complex has no faces")
     faces = {0}
     for facet in k.facets:
-        if 1 << facet.bit_count() > DEFAULT_FACE_CAP:
+        size = facet.bit_count()
+        if 1 << size > DEFAULT_FACE_CAP:
             raise FaceCapExceeded(DEFAULT_FACE_CAP)
-        sub = facet
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & facet
+        rest = facet
+        low = 0
+        if size >= 4:
+            for _ in range(size // 2):
+                rest &= rest - 1  # drop the lowest vertex
+            low = sub = facet ^ rest
+            lows = [0]
+            while sub:
+                lows.append(sub)
+                sub = (sub - 1) & low
+        high = rest
+        while high:
+            if not low:
+                faces.add(high)
+            elif high | low not in faces:
+                faces.update(map(high.__or__, lows))
+            high = (high - 1) & rest
+        if low not in faces:  # the block of high = 0
+            faces.update(lows)
         if len(faces) > DEFAULT_FACE_CAP:
             raise FaceCapExceeded(DEFAULT_FACE_CAP)
     return sorted(sorted(faces), key=int.bit_count)

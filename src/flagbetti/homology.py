@@ -14,7 +14,9 @@ column's largest row to its smallest.
 Two rank routines, both column reductions: GF(2) reduces the columns as
 they are, by XOR (the default field); odd GF(p) and the exact rationals
 share one routine that expands each column into a {row: coefficient}
-dict by the sign rule, with ints mod p or Fractions as coefficients.
+dict by the sign rule, with int coefficients for both: reduced mod p
+over GF(p), and fraction-free over Q, where a column is scaled by an
+integer instead of divided by its pivot entry.
 
 Clearing (Chen and Kerber): `betti` ranks each d_i without the columns
 whose faces are the lowest row of some column of d_{i+1}.  The lowest
@@ -28,11 +30,11 @@ kept columns span every column of d_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
 from itertools import compress, groupby
+from math import gcd
 
 from .complexes import Complex, all_faces
-from .graphs import bits
 
 __all__ = [
     "FieldSpec",
@@ -164,25 +166,45 @@ def _rank_gf2(m: list[int]) -> int:
 
 
 def _rank_sparse(m: list[int], p: int | None) -> int:
-    """Rank over GF(p), or over Q when p is None, by column reduction.
+    """Rank over GF(p), or over Q when p is None, by column reduction
+    with int coefficients for either.
 
-    Each column becomes a {row: coeff} dict, signed +, -, +, ... from its
-    largest row to its smallest; while its lowest (largest) row is the
-    pivot of an earlier column, that column's multiple is subtracted.  A
-    column that survives becomes the pivot for its lowest row, scaled so
-    that entry is 1.  The rank is the number of pivots."""
-    signs = (Fraction(1), Fraction(-1)) if p is None else (1, p - 1)
-    pivots: dict[int, dict[int, int | Fraction]] = {}  # lowest row -> reduced column
+    Each column becomes a {row: coeff} dict, signed +1, -1, +1, ... from
+    its largest row down.  While its lowest (largest) row is the pivot of
+    an earlier column piv, v becomes piv[low] * v - v[low] * piv (both
+    factors divided by their gcd; mod p over GF(p)), which clears that
+    row.  A column that survives becomes the pivot for its lowest row:
+    scaled so that entry is 1 over GF(p), or divided by its content, with
+    that entry positive, over Q.  Each step multiplies v by a non-zero
+    scalar and adds a multiple of an earlier column, so the span is kept
+    and the rank is exact.  The rank is the number of pivots."""
+    pivots: dict[int, dict[int, int]] = {}  # lowest row -> reduced column
     for col in m:
-        v = {r: signs[i & 1] for i, r in enumerate(reversed(bits(col)))}
+        v, sign = {}, 1
+        while col:  # from the largest row down
+            r = col.bit_length() - 1
+            v[r] = sign
+            sign = -sign
+            col ^= 1 << r
         while v:
             low = max(v)
             c = v[low]
             piv = pivots.get(low)
             if piv is None:
-                inv = 1 / c if p is None else pow(c, -1, p)
-                pivots[low] = {r: x * inv if p is None else x * inv % p for r, x in v.items()}
+                if p is None:
+                    g = reduce(gcd, v.values())
+                    g = g if c > 0 else -g
+                    pivots[low] = {r: x // g for r, x in v.items()}
+                else:
+                    inv = pow(c, -1, p)
+                    pivots[low] = {r: x * inv % p for r, x in v.items()}
                 break
+            a = piv[low]  # 1 over GF(p)
+            if a != 1:
+                g = gcd(a, c)
+                a //= g
+                c //= g
+                v = {r: a * x for r, x in v.items()}
             for r, x in piv.items():
                 y = v.get(r, 0) - c * x
                 if p is not None:

@@ -287,9 +287,43 @@ class TestCensusAndClass:
             expect = sorted(faces_oracle(k), key=lambda m: (m.bit_count(), m))
             assert all_faces(k) == expect
 
+    def test_all_faces_of_joins(self, rng):
+        # the facets of a join share most of their subsets, so whole blocks
+        # are skipped
+        for _ in range(30):
+            a = random_complex(rng, rng.randint(1, 6), rng.randint(1, 4))
+            b = random_complex(rng, rng.randint(1, 6), rng.randint(1, 4))
+            k = join(a, b)
+            assert all_faces(k) == sorted(faces_oracle(k), key=lambda m: (m.bit_count(), m)), k
+
+    def test_all_faces_of_skeleta(self):
+        # the s-skeleton of the k-simplex: every vertex set of at most s + 1
+        # of its k + 1 vertices
+        for k in range(13):
+            for s in range(-1, k + 1):
+                sk = skeleton_simplex(k, s)
+                faces = all_faces(sk)
+                expect = [m for m in range(1 << k + 1) if m.bit_count() <= s + 1]
+                assert faces == sorted(expect, key=lambda m: (m.bit_count(), m)), (k, s)
+                if k <= 8:
+                    assert faces == sorted(faces_oracle(sk), key=lambda m: (m.bit_count(), m))
+
+    def test_all_faces_by_facet_size(self, rng):
+        # facets of 1 to 3 vertices take the one-by-one walk, larger ones
+        # the block walk; with size >= 4 both meet in one complex
+        for size in range(1, 17):
+            n = min(16, size + 3)
+            for _ in range(2):
+                facets = [sum(1 << v for v in rng.sample(range(n), size))]
+                facets += [sum(1 << v for v in rng.sample(range(n), rng.randint(1, size))) for _ in range(3)]
+                k = from_facets(n, facets)
+                assert all_faces(k) == sorted(faces_oracle(k), key=lambda m: (m.bit_count(), m)), k
+
     def test_face_cap_is_exact(self, rng, monkeypatch):
-        # the cap counts distinct faces, so subsets shared by facets count once
-        for k in [fano_complex().complex_, EMPTY] + [
+        # the cap counts distinct faces, so subsets shared by facets count
+        # once; the skeleton and the join reach the cap inside a block
+        joined = join(random_complex(rng, 5, 3), random_complex(rng, 5, 3))
+        for k in [fano_complex().complex_, EMPTY, skeleton_simplex(9, 5), joined] + [
             random_complex(rng, rng.randint(1, 8), rng.randint(2, 6)) for _ in range(20)
         ]:
             count = len(faces_oracle(k))

@@ -35,7 +35,13 @@ from flagbetti.homology import (
 )
 from flagbetti.search import enumerate_graphs
 from conftest import random_complex, random_graph
-from oracles import betti_full_rank_oracle, betti_oracle, boundary_matrices_oracle, total_betti_oracle
+from oracles import (
+    betti_full_rank_oracle,
+    betti_oracle,
+    boundary_matrices_oracle,
+    dense_rank_oracle,
+    total_betti_oracle,
+)
 
 FIELDS = (GF2, GF3, RATIONALS)
 # (field, the oracle's p) for the sparse GF(p)/Q rank routine
@@ -92,6 +98,15 @@ def signed_column(col: int) -> dict[int, int]:
     largest row, alternating toward smaller rows."""
     rows = sorted(bits(col), reverse=True)
     return {r: (-1) ** i for i, r in enumerate(rows)}
+
+
+def signed_dense(m: list[int]) -> list[list[int]]:
+    """The dense integer matrix of bitmask columns m by the sign rule."""
+    a = [[0] * len(m) for _ in range(max(1, max(col.bit_length() for col in m)))]
+    for j, col in enumerate(m):
+        for r, s in signed_column(col).items():
+            a[r][j] = s
+    return a
 
 
 class TestBoundary:
@@ -267,6 +282,23 @@ class TestRanks:
             k = random_complex(rng, rng.randint(1, 7), rng.randint(1, 6))
             for m in boundary_matrices(k):
                 assert _rank_sparse(m, 2) == _rank_gf2(m)
+
+    @pytest.mark.parametrize("p", [3, 7, 2**31 - 1, None], ids=str)
+    def test_sparse_rank_matches_dense_oracle(self, rng, p):
+        cases = [random_complex(rng, rng.randint(1, 9), rng.randint(1, 6)) for _ in range(20)]
+        cases += [RP2, independence_complex(copies(2, cycle(5)))]
+        for k in cases:
+            for m in boundary_matrices(k):
+                assert _rank_sparse(m, p) == dense_rank_oracle(signed_dense(m), p), (k, p)
+
+    @pytest.mark.parametrize("p", [3, 7, 2**31 - 1, None], ids=str)
+    def test_sparse_rank_of_arbitrary_columns(self, rng, p):
+        # any int is a column under the sign rule; unlike boundary
+        # matrices, these reach pivots whose lowest entry is not +-1
+        for _ in range(200):
+            rows = rng.randint(1, 10)
+            m = [rng.getrandbits(rows) for _ in range(rng.randint(1, 12))]
+            assert _rank_sparse(m, p) == dense_rank_oracle(signed_dense(m), p), (m, p)
 
     def test_cleared_columns_keep_rank(self, rng):
         # clearing drops from d_i (i below the top) the faces t less their
