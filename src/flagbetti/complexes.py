@@ -291,13 +291,13 @@ def all_faces(k: Complex) -> list[int]:
     """Every face (including the empty face 0), sorted by (size, mask),
     collected into one set facet by facet.
 
-    A facet of 4 or more vertices is split into low, its size // 2 lowest
-    vertices, and rest.  Each subset high of rest adds the block of high
-    joined with every subset of low, unless high | low is already listed:
-    the blocks of one facet are disjoint, so an earlier facet holds that
-    face, and all of its subsets are listed already.  Smaller facets walk
-    their subsets one by one (low is 0).  Both walk by
-    sub = (sub - 1) & mask.
+    A facet of 6 or more vertices is split into low, its size // 2
+    lowest vertices, and rest.  Each subset high of rest adds the block of
+    high joined with every subset of low, unless high | low is already
+    listed: the blocks of one facet are disjoint, so an earlier facet
+    holds that face, and all of its subsets are listed already.  A smaller
+    facet adds its subsets one by one, which is faster when its blocks are
+    this small.  Both walk by sub = (sub - 1) & mask.
 
     More than DEFAULT_FACE_CAP faces raise FaceCapExceeded, exactly.  A
     facet of s vertices raises before its walk if its 2^s subsets alone
@@ -310,9 +310,13 @@ def all_faces(k: Complex) -> list[int]:
         size = facet.bit_count()
         if 1 << size > DEFAULT_FACE_CAP:
             raise FaceCapExceeded(DEFAULT_FACE_CAP)
-        rest = facet
-        low = 0
-        if size >= 4:
+        if size < 6:
+            sub = facet
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & facet
+        else:
+            rest = facet
             for _ in range(size // 2):
                 rest &= rest - 1  # drop the lowest vertex
             low = sub = facet ^ rest
@@ -320,15 +324,13 @@ def all_faces(k: Complex) -> list[int]:
             while sub:
                 lows.append(sub)
                 sub = (sub - 1) & low
-        high = rest
-        while high:
-            if not low:
-                faces.add(high)
-            elif high | low not in faces:
-                faces.update(map(high.__or__, lows))
-            high = (high - 1) & rest
-        if low not in faces:  # the block of high = 0
-            faces.update(lows)
+            high = rest
+            while True:
+                if high | low not in faces:
+                    faces.update(map(high.__or__, lows))
+                if not high:
+                    break
+                high = (high - 1) & rest
         if len(faces) > DEFAULT_FACE_CAP:
             raise FaceCapExceeded(DEFAULT_FACE_CAP)
     return sorted(sorted(faces), key=int.bit_count)

@@ -309,8 +309,8 @@ class TestCensusAndClass:
                     assert faces == sorted(faces_oracle(sk), key=lambda m: (m.bit_count(), m))
 
     def test_all_faces_by_facet_size(self, rng):
-        # facets of 1 to 3 vertices take the one-by-one walk, larger ones
-        # the block walk; with size >= 4 both meet in one complex
+        # facets of 1 to 5 vertices take the one-by-one walk, larger ones
+        # the block walk; with size >= 6 both meet in one complex
         for size in range(1, 17):
             n = min(16, size + 3)
             for _ in range(2):
