@@ -2,19 +2,20 @@
 
 Everything here works from first principles (subset enumeration, dense
 elimination) and deliberately shares no code path with the library
-implementations it checks.  Six are the library's own earlier routines,
+implementations it checks.  Seven are the library's own earlier routines,
 kept as the reference for what replaced them: the per-subset Hochster
 loop over `b_graph`, the plain integer bisection, the canonical labelling
 by colour ranks, the fold loop that tries every live vertex, the
-boundary columns summed from one row bit per face, and Betti numbers
-from the ranks of the full boundary matrices, before clearing.
+boundary columns summed from one row bit per face, Betti numbers from
+the ranks of the full boundary matrices, before clearing, and the filter
+that cleared the full matrices' columns after they were built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby, permutations
+from itertools import combinations, compress, groupby, permutations
 
 from flagbetti.complexes import Complex
 from flagbetti.graphs import Graph, canonical_form, empty_graph, induced, parse_graph6
@@ -79,6 +80,17 @@ def boundary_matrices_oracle(k: Complex) -> list[list[int]]:
         row_bit = {f: 1 << i for i, f in enumerate(lower)}
         mats.append([sum(row_bit[f & ~(1 << v)] for v in range(k.n) if f >> v & 1) for f in upper])
     return mats
+
+
+def kept_columns_oracle(m: list, upper: list[int]) -> list:
+    """The columns of m, in order, less those at the lowest row of some
+    column of upper, the full matrix above m: the filter `betti` once ran
+    on full matrices, before `boundary_matrices(k, cleared=True)` built
+    only the kept columns."""
+    keep = bytearray(b"\1") * len(m)
+    for col in upper:
+        keep[col.bit_length() - 1] = 0
+    return list(compress(m, keep))
 
 
 def complex_checks_oracle(n: int, facets) -> bool:

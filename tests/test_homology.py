@@ -24,7 +24,6 @@ from flagbetti.homology import (
     BettiVector,
     FieldSpec,
     _faces_by_dim,
-    _kept_columns,
     _rank_gf2,
     _rank_sparse,
     betti,
@@ -40,6 +39,7 @@ from oracles import (
     betti_oracle,
     boundary_matrices_oracle,
     dense_rank_oracle,
+    kept_columns_oracle,
     total_betti_oracle,
 )
 
@@ -142,6 +142,21 @@ class TestBoundary:
             assert boundary_matrices(k) == boundary_matrices_oracle(k), facets
         k = independence_complex(copies(3, cycle(5)))
         assert boundary_matrices(k) == boundary_matrices_oracle(k)
+
+    def test_cleared_columns_equal_oracle(self, rng):
+        # cleared: each d_i below the top is the full d_i less the columns
+        # at the lowest rows of the full d_{i+1}; the top matrix is whole
+        cases = []
+        for _ in range(12):  # 11 to 16 vertices, so faces have masks above 2^10
+            n = rng.randint(11, 16)
+            facets = [sum(1 << v for v in rng.sample(range(n), rng.randint(3, 9))) for _ in range(4)]
+            cases.append(from_facets(n, facets))
+        cases += [RP2, fano_complex().complex_, independence_complex(copies(3, cycle(5)))]
+        cases += [EMPTY, simplex(1), sphere0()]  # one or two layers: nothing above to clear from
+        for k in cases:
+            full = boundary_matrices_oracle(k)
+            expected = [kept_columns_oracle(m, upper) for m, upper in zip(full, full[1:])] + full[-1:]
+            assert boundary_matrices(k, cleared=True) == expected, k
 
 
 class TestBetti:
@@ -310,11 +325,11 @@ class TestRanks:
             layers = _faces_by_dim(k)
             mats = boundary_matrices(k)
             for i, (m, upper) in enumerate(zip(mats, mats[1:])):
-                kept = _kept_columns(m, upper)
+                kept = kept_columns_oracle(m, upper)
                 for field in FIELDS:
                     assert matrix_rank(kept, field) == matrix_rank(m, field), (k, i, field)
                 # layers[i + 1] labels the columns of d_i, layers[i + 2] those of d_{i+1}
-                dropped = set(layers[i + 1]) - set(_kept_columns(layers[i + 1], upper))
+                dropped = set(layers[i + 1]) - set(kept_columns_oracle(layers[i + 1], upper))
                 assert dropped == {t ^ (t & -t) for t in layers[i + 2]}, (k, i)
 
     def test_total_betti_oracle_agreement(self, rng):
