@@ -5,9 +5,10 @@ counterexample), 2 usage or resource error.  All regular output is JSON
 (or TSV where noted); stderr carries machine-readable error JSON.
 
 Library errors are mapped to exit codes in one place, `_Boundary.invoke`:
-a ValueError, ArithmeticError, OSError or FaceCapExceeded from any command
-exits 2, so a crash never reads as a counterexample.  Only `constants`
-maps an error itself: its failed maximality sweep is a failed check (exit 1).
+a ValueError, ArithmeticError, OSError, RecursionError or FaceCapExceeded
+from any command exits 2, so a crash never reads as a counterexample.
+Only `constants` maps an error itself: its failed maximality sweep is a
+failed check (exit 1).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class _Boundary(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, ArithmeticError, OSError, FaceCapExceeded) as exc:
+        except (ValueError, ArithmeticError, OSError, RecursionError, FaceCapExceeded) as exc:
             _fail(str(exc))
 
 

@@ -18,15 +18,14 @@ dict by the sign rule, with int coefficients for both: reduced mod p
 over GF(p), and fraction-free over Q, where a column is scaled by an
 integer instead of divided by its pivot entry.
 
-Clearing (Chen and Kerber): `betti` ranks each d_i without the columns
-whose faces are the lowest row of some column of d_{i+1}.  The lowest
-(largest) row of the column of a face t is s = t less its lowest vertex.
-The rank does not change, over any field: d_i d_{i+1} = 0 at column t
-makes column s of d_i +-1 times a combination of the columns of d_i at
-t's other rows, all smaller than s, so by induction on s, ascending, the
-kept columns span every column of d_i.  The cleared columns are never
-built: `boundary_matrices(k, cleared=True)` skips the faces t & (t - 1)
-of each layer that has a layer above it, as Ripser does.
+Clearing (Chen and Kerber): each d_i below the top is built without the
+columns whose faces are the lowest row of some column of d_{i+1}.  The
+lowest (largest) row of the column of a face t is s = t & (t - 1), t less
+its lowest vertex.  The rank does not change, over any field:
+d_i d_{i+1} = 0 at column t makes column s of d_i +-1 times a combination
+of the columns of d_i at t's other rows, all smaller than s, so by
+induction on s, ascending, the kept columns span every column of d_i.
+The cleared columns are never built, as in Ripser.
 """
 
 from __future__ import annotations
@@ -129,22 +128,20 @@ def _faces_by_dim(k: Complex) -> list[list[int]]:
     return [list(layer) for _, layer in groupby(all_faces(k), int.bit_count)]
 
 
-def boundary_matrices(k: Complex, *, cleared: bool = False) -> list[list[int]]:
-    """Matrices d_i: C_i -> C_{i-1} for i = 0..dim over sorted face bases,
-    as bitmask columns with implied signs (see the module docstring).
-    Index 0 of the returned list is the augmentation d_0: C_0 -> C_{-1}.
-
-    With cleared, each d_i below the top has no column for the faces
-    t & (t - 1), t over the layer above (the lowest rows of d_{i+1});
-    the rows stay those of the whole lower layer, and the top matrix is
-    whole.  Each d_i keeps its rank (see the module docstring)."""
+def boundary_matrices(k: Complex) -> list[list[int]]:
+    """Matrices d_i: C_i -> C_{i-1} for i = 0..dim, cleared, as bitmask
+    columns with implied signs (see the module docstring).  Index 0 is
+    the augmentation d_0: C_0 -> C_{-1}.  The rows of each d_i are the
+    whole sorted lower layer; its columns are the sorted upper layer less
+    the cleared faces, and the top matrix is whole.  Each d_i has the
+    rank of the full map."""
     if k.is_void:
         raise ValueError("void complex has no chain complex")
     layers = _faces_by_dim(k)
     mats = []
     for j, (lower, upper) in enumerate(zip(layers, layers[1:])):
         index = {f: i for i, f in enumerate(lower)}  # face -> its row
-        if cleared and j + 2 < len(layers):
+        if j + 2 < len(layers):
             dropped = {t & (t - 1) for t in layers[j + 2]}
             upper = [f for f in upper if f not in dropped]
         cols = []
@@ -235,18 +232,13 @@ def matrix_rank(m: list[int], field: FieldSpec) -> int:
 # Betti numbers
 
 def betti(k: Complex, field: FieldSpec = GF2) -> BettiVector:
-    """Reduced Betti numbers of k.  The void complex is all zeros.
-
-    Each d_i below the top is built without the columns cleared by
-    d_{i+1}: a face that is the lowest row of a column of d_{i+1} (that
-    column's face less its lowest vertex) has a column in the span of the
-    columns before it, so the rank is that of the full matrix over every
-    field.  matrix_rank runs once per matrix, on the columns built."""
+    """Reduced Betti numbers of k over field.  The void complex is all
+    zeros."""
     if k.is_void:
         return BettiVector((), field)
     layers = _faces_by_dim(k)
     # ranks[j]: rank of the map out of layers[j]; zero out of C_{-1} and into the top
-    ranks = [0] + [matrix_rank(m, field) for m in boundary_matrices(k, cleared=True)] + [0]
+    ranks = [0] + [matrix_rank(m, field) for m in boundary_matrices(k)] + [0]
     out = []
     for j, faces in enumerate(layers):
         b = len(faces) - ranks[j] - ranks[j + 1]

@@ -8,7 +8,7 @@ and the rationals, plus the closed-form cross-checks.
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from math import floor
 
 from .constructions import (
@@ -51,10 +51,7 @@ def _matches_3dp(enc: Enclosure, published: Decimal) -> bool:
 
 
 def _enclosure_3dp(enc: Enclosure) -> Decimal:
-    mid = enc.midpoint()
-    with localcontext() as ctx:
-        ctx.prec = 30
-        return (Decimal(mid.numerator) / Decimal(mid.denominator)).quantize(Decimal("0.001"))
+    return Decimal(enc.decimal_str(25)).quantize(Decimal("0.001"))
 
 
 def run_table1(field: FieldSpec) -> dict:

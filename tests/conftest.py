@@ -7,7 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from flagbetti.complexes import Complex, from_facets
-from flagbetti.graphs import Graph, from_edges
+from flagbetti.graphs import Graph, canonical_form, from_edges
+from flagbetti.invariants import b_graph
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -24,6 +25,12 @@ def random_complex(rng: random.Random, n: int, nfacets: int = 4) -> Complex:
         size = rng.randint(0, n)
         facets.append(sum(1 << v for v in rng.sample(range(n), size)))
     return from_facets(n, facets)
+
+
+def planted_b_graph(word: str):
+    """b_graph, except that the graph of canonical graph6 word `word`
+    reads 100: a planted bound violation, as no real graph gives one."""
+    return lambda g, field: 100 if canonical_form(g) == word else b_graph(g, field)
 
 
 @pytest.fixture

@@ -5,10 +5,11 @@ elimination) and deliberately shares no code path with the library
 implementations it checks.  Seven are the library's own earlier routines,
 kept as the reference for what replaced them: the per-subset Hochster
 loop over `b_graph`, the plain integer bisection, the canonical labelling
-by colour ranks, the fold loop that tries every live vertex, the
-boundary columns summed from one row bit per face, Betti numbers from
-the ranks of the full boundary matrices, before clearing, and the filter
-that cleared the full matrices' columns after they were built.
+by colour ranks, the fold loop that tries every live vertex, the full
+boundary matrices, with columns summed from one row bit per face, Betti
+numbers from the ranks of those full matrices, before clearing, and the
+filter that cleared the full matrices' columns after they were built.
+The library builds only cleared matrices; full ones come only from here.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations, compress, groupby, permutations
 
 from flagbetti.complexes import Complex
 from flagbetti.graphs import Graph, canonical_form, empty_graph, induced, parse_graph6
-from flagbetti.homology import boundary_matrices, matrix_rank
+from flagbetti.homology import matrix_rank
 from flagbetti.invariants import b_graph
 
 
@@ -85,8 +86,8 @@ def boundary_matrices_oracle(k: Complex) -> list[list[int]]:
 def kept_columns_oracle(m: list, upper: list[int]) -> list:
     """The columns of m, in order, less those at the lowest row of some
     column of upper, the full matrix above m: the filter `betti` once ran
-    on full matrices, before `boundary_matrices(k, cleared=True)` built
-    only the kept columns."""
+    on full matrices, before `boundary_matrices` built only the kept
+    columns."""
     keep = bytearray(b"\1") * len(m)
     for col in upper:
         keep[col.bit_length() - 1] = 0
@@ -203,12 +204,12 @@ def betti_oracle(k: Complex, p: int | None) -> dict[int, int]:
 
 def betti_full_rank_oracle(k: Complex, field) -> dict[int, int]:
     """Reduced Betti numbers by the path `betti` ran before clearing:
-    `matrix_rank` of every column of every matrix of `boundary_matrices`.
-    Layer j has one face per column of d_{j-1}, and the empty face alone
-    in layer 0."""
+    `matrix_rank` of every column of every full matrix, here those of
+    `boundary_matrices_oracle`.  Layer j has one face per column of
+    d_{j-1}, and the empty face alone in layer 0."""
     if k.is_void:
         return {}
-    mats = boundary_matrices(k)
+    mats = boundary_matrices_oracle(k)
     sizes = [1] + [len(m) for m in mats]
     ranks = [0] + [matrix_rank(m, field) for m in mats] + [0]
     return {j - 1: b for j, size in enumerate(sizes) if (b := size - ranks[j] - ranks[j + 1])}

@@ -4,13 +4,14 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from flagbetti import cli, complexes, verify
+from flagbetti import cli, complexes, invariants, search, verify
 from flagbetti.cli import main
 from flagbetti.complexes import FaceCapExceeded, read_facet_file, write_facet_file
 from flagbetti.constructions import fano_complex
-from flagbetti.graphs import cycle, empty_graph, encode_graph6, parse_graph6
+from flagbetti.graphs import canonical_form, cycle, empty_graph, encode_graph6, parse_graph6
 from flagbetti.invariants import Enclosure
 from flagbetti.search import enumerate_graphs
+from conftest import planted_b_graph
 
 
 @pytest.fixture
@@ -134,6 +135,20 @@ def test_unwritable_checkpoint_is_resource_error(runner, tmp_path):
     assert res.exit_code == 2
     assert res.stderr.count("\n") == 1
     assert "No such file or directory" in json.loads(res.stderr)["error"]
+
+
+def test_deep_recursion_is_resource_error(runner, tmp_path):
+    # the boundary of the 1,499-simplex: the dual's transversal search
+    # recurses once per vertex, past Python's recursion limit
+    n = 1500
+    path = tmp_path / "sphere.facets"
+    path.write_text(f"n {n}\n" + "".join(
+        " ".join(str(v) for v in range(n) if v != i) + "\n" for i in range(n)))
+    res = invoke(runner, ["dual", "--facets", str(path)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert "recursion" in json.loads(res.stderr)["error"]
 
 
 def test_help_is_not_an_error(runner):
@@ -285,6 +300,15 @@ class TestSearch:
         assert (out["n"], out["graphs_examined"], out["max_value"]) == (0, 1, 1)
         assert out["bound_name"] == "b-le-theta^n"
         assert out["bound_lo"] == out["bound_hi"] == 1.0
+
+    def test_planted_violation_is_math_failure(self, runner, monkeypatch):
+        planted = canonical_form(empty_graph(4))
+        monkeypatch.setattr(search, "b_graph", planted_b_graph(planted))
+        res = invoke(runner, ["search", "--n", "4"])
+        assert res.exit_code == 1
+        out = json.loads(res.stdout)
+        assert out["all_within_bound"] is False
+        assert out["violations"] == [{"graph6": planted, "value": 100, "bound": "b-le-theta^n"}]
 
     def test_tsv(self, runner):
         res = invoke(runner, ["search", "--metric", "b", "--n", "4", "--tsv"])
@@ -445,6 +469,14 @@ class TestCheck:
         res = invoke(runner, ["check", "--facets", str(path)])
         assert res.exit_code == 0
         assert json.loads(res.output)["all_pass"]
+
+    def test_planted_violation_is_math_failure(self, runner, monkeypatch):
+        monkeypatch.setattr(invariants, "b_graph", planted_b_graph("D~{"))  # K5
+        res = invoke(runner, ["check", "--graph6", "D~{"])
+        assert res.exit_code == 1
+        out = json.loads(res.stdout)
+        assert out["b"] == 100 and out["all_pass"] is False
+        assert [entry["pass"] for entry in out["bounds"]] == [False]
 
     def test_empty_complex(self, runner, tmp_path):
         path = tmp_path / "k.facets"

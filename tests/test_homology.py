@@ -112,15 +112,16 @@ def signed_dense(m: list[int]) -> list[list[int]]:
 class TestBoundary:
     def test_augmentation_and_shapes(self):
         assert boundary_matrices(sphere0()) == [[1, 1]]
-        # simplex(2): vertices 1, 2 over the empty face, edge 3 over both vertices
-        assert boundary_matrices(simplex(2)) == [[1, 1], [3]]
+        # simplex(2): vertex 1 over the empty face, edge 3 over both
+        # vertices; the edge clears vertex 2, its largest row
+        assert boundary_matrices(simplex(2)) == [[1], [3]]
 
     def test_dd_zero_rational(self, rng):
         # rank d_i + rank d_{i+1} <= dim C_i is the matrix-level shadow of
         # d o d = 0; check the composition literally over the integers
         for _ in range(15):
             k = random_complex(rng, rng.randint(1, 6))
-            mats = boundary_matrices(k)
+            mats = boundary_matrices_oracle(k)
             for lower, upper in zip(mats, mats[1:]):
                 for col in upper:
                     acc = {}
@@ -133,19 +134,9 @@ class TestBoundary:
         with pytest.raises(ValueError):
             boundary_matrices(VOID)
 
-    def test_columns_equal_oracle(self, rng):
-        # 11 to 16 vertices, so faces have masks above 2^10
-        for _ in range(12):
-            n = rng.randint(11, 16)
-            facets = [sum(1 << v for v in rng.sample(range(n), rng.randint(3, 9))) for _ in range(4)]
-            k = from_facets(n, facets)
-            assert boundary_matrices(k) == boundary_matrices_oracle(k), facets
-        k = independence_complex(copies(3, cycle(5)))
-        assert boundary_matrices(k) == boundary_matrices_oracle(k)
-
     def test_cleared_columns_equal_oracle(self, rng):
-        # cleared: each d_i below the top is the full d_i less the columns
-        # at the lowest rows of the full d_{i+1}; the top matrix is whole
+        # each d_i below the top is the full d_i less the columns at the
+        # lowest rows of the full d_{i+1}; the top matrix is whole
         cases = []
         for _ in range(12):  # 11 to 16 vertices, so faces have masks above 2^10
             n = rng.randint(11, 16)
@@ -156,7 +147,7 @@ class TestBoundary:
         for k in cases:
             full = boundary_matrices_oracle(k)
             expected = [kept_columns_oracle(m, upper) for m, upper in zip(full, full[1:])] + full[-1:]
-            assert boundary_matrices(k, cleared=True) == expected, k
+            assert boundary_matrices(k) == expected, k
 
 
 class TestBetti:
@@ -285,7 +276,7 @@ class TestRanks:
         # differ in general, but totals must satisfy Euler-Poincare; spot
         # check exact agreement for complexes with free homology
         k = skeleton_simplex(5, 2)
-        for m in boundary_matrices(k):
+        for m in boundary_matrices_oracle(k):
             r2 = matrix_rank(m, GF2)
             r3 = matrix_rank(m, GF3)
             rq = matrix_rank(m, RATIONALS)
@@ -295,7 +286,7 @@ class TestRanks:
         # the sign-expanding routine at p = 2 against the XOR reduction
         for _ in range(40):
             k = random_complex(rng, rng.randint(1, 7), rng.randint(1, 6))
-            for m in boundary_matrices(k):
+            for m in boundary_matrices_oracle(k):
                 assert _rank_sparse(m, 2) == _rank_gf2(m)
 
     @pytest.mark.parametrize("p", [3, 7, 2**31 - 1, None], ids=str)
@@ -303,7 +294,7 @@ class TestRanks:
         cases = [random_complex(rng, rng.randint(1, 9), rng.randint(1, 6)) for _ in range(20)]
         cases += [RP2, independence_complex(copies(2, cycle(5)))]
         for k in cases:
-            for m in boundary_matrices(k):
+            for m in boundary_matrices_oracle(k):
                 assert _rank_sparse(m, p) == dense_rank_oracle(signed_dense(m), p), (k, p)
 
     @pytest.mark.parametrize("p", [3, 7, 2**31 - 1, None], ids=str)
@@ -323,7 +314,7 @@ class TestRanks:
         cases += [RP2, fano_complex().complex_, independence_complex(copies(2, cycle(5)))]
         for k in cases:
             layers = _faces_by_dim(k)
-            mats = boundary_matrices(k)
+            mats = boundary_matrices_oracle(k)
             for i, (m, upper) in enumerate(zip(mats, mats[1:])):
                 kept = kept_columns_oracle(m, upper)
                 for field in FIELDS:

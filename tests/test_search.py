@@ -31,7 +31,7 @@ from flagbetti.search import (
     moon_moser_check,
     stream_graph6,
 )
-from conftest import random_graph
+from conftest import planted_b_graph, random_graph
 from oracles import (
     all_labelled_graphs,
     are_isomorphic_oracle,
@@ -227,6 +227,14 @@ class TestMaximize:
         assert rep.maximizers == [encode_graph6(parse_graph6("D~{"))]
         assert rep.all_within_bound
         assert rep.graphs_examined == 34
+
+    def test_planted_violation_is_reported(self, monkeypatch):
+        planted = canonical_form(empty_graph(4))
+        monkeypatch.setattr(search, "b_graph", planted_b_graph(planted))
+        rep = maximize("b", n=4)
+        assert rep.all_within_bound is False
+        assert rep.violations == [{"graph6": planted, "value": 100, "bound": "b-le-theta^n"}]
+        assert (rep.max_value, rep.maximizers) == (100, [planted])
 
     def test_stream_agrees_with_generator(self):
         gen = maximize("b", "all", n=6)
