@@ -388,13 +388,19 @@ def read_facet_file(text: str) -> Complex:
         return Complex(n, (0,))
     facets = []
     for i, ln in enumerate(body, start=2):
-        try:
-            verts = [int(tok) for tok in ln.split()]
-        except ValueError:
-            raise ValueError(f"bad facet on line {i}") from None
-        if any(not 0 <= v < n for v in verts):
+        mask, in_range = 0, True  # the line's vertex set, built token by token
+        for tok in ln.split():
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ValueError(f"bad facet on line {i}") from None
+            if 0 <= v < n:
+                mask |= 1 << v
+            else:
+                in_range = False  # reported once every token is known to be an int
+        if not in_range:
             raise ValueError(f"vertex out of range on line {i}")
-        facets.append(verts)
+        facets.append(mask)
     if not facets:
         raise ValueError("facet file has no facets; use 'void' or 'empty'")
     return from_facets(n, facets)

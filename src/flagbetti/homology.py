@@ -4,12 +4,12 @@ The chain complex is augmented: the empty face spans C_{-1}, so the empty
 complex has one unit of homology in degree -1.  Betti numbers come from
 b_i = dim C_i - rank d_i - rank d_{i+1}.
 
-A boundary matrix is a list of ints, one per column: bit r of a column is
-set when row r (a face of the lower layer) lies in the column's face.
-Signs are implied, not stored.  Face f has entry (-1)^pos at f - v, where v
-is f's vertex at ascending position pos; layers are sorted, so dropping a
-larger vertex gives a smaller row, and the signs read +, -, +, ... from the
-column's largest row to its smallest.
+A column of a boundary matrix is an int: bit r is set when row r (a face
+of the lower layer) lies in the column's face.  Signs are implied, not
+stored.  Face f has entry (-1)^pos at f - v, where v is f's vertex at
+ascending position pos; layers are sorted, so dropping a larger vertex
+gives a smaller row, and the signs read +, -, +, ... from the column's
+largest row to its smallest.
 
 Two rank routines, both column reductions: GF(2) reduces the columns as
 they are, by XOR (the default field); odd GF(p) and the exact rationals
@@ -18,7 +18,7 @@ dict by the sign rule, with int coefficients for both: reduced mod p
 over GF(p), and fraction-free over Q, where a column is scaled by an
 integer instead of divided by its pivot entry.
 
-Clearing (Chen and Kerber): each d_i below the top is built without the
+Clearing (Chen and Kerber): each d_i below the top is ranked without the
 columns whose faces are the lowest row of some column of d_{i+1}.  The
 lowest (largest) row of the column of a face t is s = t & (t - 1), t less
 its lowest vertex.  The rank does not change, over any field:
@@ -26,12 +26,22 @@ d_i d_{i+1} = 0 at column t makes column s of d_i +-1 times a combination
 of the columns of d_i at t's other rows, all smaller than s, so by
 induction on s, ascending, the kept columns span every column of d_i.
 The cleared columns are never built, as in Ripser.
+
+Lazy columns (also as in Ripser): the kept columns are not built up
+front either.  A rank routine takes each column's lowest row, which for
+face f is the row of f & (f - 1) and needs no column, and a builder.  A
+column whose lowest row holds no pivot becomes the pivot there unbuilt.
+A column is built only when its lowest row already holds a pivot, and an
+unbuilt pivot only when a reduction first reads it; it is then built
+once and stored as any other pivot.  An unbuilt pivot is the column as
+it stands, since no reduction touched it, so the ranks are those of the
+eager reduction, step for step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import groupby
 from math import gcd
 
@@ -120,7 +130,7 @@ class BettiVector:
 
 
 # ---------------------------------------------------------------------------
-# boundary matrices as bitmask columns
+# boundary matrices, their columns built on demand
 
 def _faces_by_dim(k: Complex) -> list[list[int]]:
     """Faces grouped by dimension -1..dim; all_faces sorts them by
@@ -128,84 +138,118 @@ def _faces_by_dim(k: Complex) -> list[list[int]]:
     return [list(layer) for _, layer in groupby(all_faces(k), int.bit_count)]
 
 
-def boundary_matrices(k: Complex) -> list[list[int]]:
-    """Matrices d_i: C_i -> C_{i-1} for i = 0..dim, cleared, as bitmask
-    columns with implied signs (see the module docstring).  Index 0 is
-    the augmentation d_0: C_0 -> C_{-1}.  The rows of each d_i are the
-    whole sorted lower layer; its columns are the sorted upper layer less
-    the cleared faces, and the top matrix is whole.  Each d_i has the
-    rank of the full map."""
+def boundary_matrices(k: Complex) -> list[tuple[dict[int, int], list[int]]]:
+    """Matrices d_i: C_i -> C_{i-1} for i = 0..dim, cleared, with no
+    column built.  Each d_i is (index, faces): index maps each face of the
+    whole sorted lower layer to its row, and faces, one per column, are
+    the sorted upper layer less the cleared faces; the top matrix is
+    whole.  `_column(index, faces, j)` builds column j.  Index 0 is
+    the augmentation d_0: C_0 -> C_{-1}.  Each d_i has the rank of the
+    full map."""
     if k.is_void:
         raise ValueError("void complex has no chain complex")
     layers = _faces_by_dim(k)
     mats = []
     for j, (lower, upper) in enumerate(zip(layers, layers[1:])):
-        index = {f: i for i, f in enumerate(lower)}  # face -> its row
         if j + 2 < len(layers):
             dropped = {t & (t - 1) for t in layers[j + 2]}
             upper = [f for f in upper if f not in dropped]
-        cols = []
-        for f in upper:
-            col, rest = 0, f
-            while rest:  # drop each vertex of f, from the top
-                top = 1 << rest.bit_length() - 1
-                col |= 1 << index[f ^ top]
-                rest ^= top
-            cols.append(col)
-        mats.append(cols)
+        mats.append(({f: i for i, f in enumerate(lower)}, upper))
     return mats
+
+
+def _column(index: dict[int, int], faces: list[int], j: int) -> int:
+    """Column j of the matrix (index, faces) as a bitmask."""
+    f = rest = faces[j]
+    col = 0
+    while rest:  # drop each vertex of f, from the top
+        top = 1 << rest.bit_length() - 1
+        col |= 1 << index[f ^ top]
+        rest ^= top
+    return col
+
+
+def _lazy(index: dict[int, int], faces: list[int]):
+    """The matrix (index, faces) as `matrix_rank` takes it: each column's
+    lowest row, the row of f & (f - 1), and a builder of column j."""
+    return [index[f & f - 1] for f in faces], partial(_column, index, faces)
 
 
 # ---------------------------------------------------------------------------
 # ranks
 
-def _rank_gf2(m: list[int]) -> int:
-    basis: dict[int, int] = {}  # leading bit -> reduced column
-    for col in m:
+def _rank_gf2(lows: list[int], build) -> int:
+    # lowest row -> reduced column, or ~j while column j is unbuilt
+    basis: dict[int, int] = {}
+    for j, low in enumerate(lows):
+        if low not in basis:
+            basis[low] = ~j
+            continue
+        col = build(j)
         while col:
-            lead = col.bit_length() - 1
-            piv = basis.get(lead)
+            low = col.bit_length() - 1
+            piv = basis.get(low)
             if piv is None:
-                basis[lead] = col
+                basis[low] = col
                 break
+            if piv < 0:
+                piv = basis[low] = build(~piv)
             col ^= piv
     return len(basis)
 
 
-def _rank_sparse(m: list[int], p: int | None) -> int:
+def _signed(col: int) -> dict[int, int]:
+    """The {row: coeff} dict of a bitmask column, signed +1, -1, +1, ...
+    from its largest row down."""
+    v, sign = {}, 1
+    while col:
+        r = col.bit_length() - 1
+        v[r] = sign
+        sign = -sign
+        col ^= 1 << r
+    return v
+
+
+def _pivot(v: dict[int, int], c: int, p: int | None) -> dict[int, int]:
+    """v, whose lowest entry is c, as a pivot is stored: scaled so that
+    entry is 1 over GF(p), or divided by its content, with that entry
+    positive, over Q."""
+    if p is None:
+        g = reduce(gcd, v.values())
+        g = g if c > 0 else -g
+        return {r: x // g for r, x in v.items()}
+    inv = pow(c, -1, p)
+    return {r: x * inv % p for r, x in v.items()}
+
+
+def _rank_sparse(lows: list[int], build, p: int | None) -> int:
     """Rank over GF(p), or over Q when p is None, by column reduction
     with int coefficients for either.
 
-    Each column becomes a {row: coeff} dict, signed +1, -1, +1, ... from
-    its largest row down.  While its lowest (largest) row is the pivot of
-    an earlier column piv, v becomes piv[low] * v - v[low] * piv (both
-    factors divided by their gcd; mod p over GF(p)), which clears that
-    row.  A column that survives becomes the pivot for its lowest row:
-    scaled so that entry is 1 over GF(p), or divided by its content, with
-    that entry positive, over Q.  Each step multiplies v by a non-zero
-    scalar and adds a multiple of an earlier column, so the span is kept
-    and the rank is exact.  The rank is the number of pivots."""
-    pivots: dict[int, dict[int, int]] = {}  # lowest row -> reduced column
-    for col in m:
-        v, sign = {}, 1
-        while col:  # from the largest row down
-            r = col.bit_length() - 1
-            v[r] = sign
-            sign = -sign
-            col ^= 1 << r
+    Each column, once built, becomes a `_signed` dict.  While its lowest
+    (largest) row is the pivot of an earlier column piv, v becomes
+    piv[low] * v - v[low] * piv (both factors divided by their gcd; mod p
+    over GF(p)), which clears that row.  A column that survives becomes
+    the pivot for its lowest row, stored by `_pivot`.  Each step
+    multiplies v by a non-zero scalar and adds a multiple of an earlier
+    column, so the span is kept and the rank is exact.  The rank is the
+    number of pivots."""
+    # lowest row -> reduced column, or j while column j is unbuilt
+    pivots: dict[int, dict[int, int] | int] = {}
+    for j, low in enumerate(lows):
+        if low not in pivots:
+            pivots[low] = j
+            continue
+        v = _signed(build(j))
         while v:
             low = max(v)
             c = v[low]
             piv = pivots.get(low)
             if piv is None:
-                if p is None:
-                    g = reduce(gcd, v.values())
-                    g = g if c > 0 else -g
-                    pivots[low] = {r: x // g for r, x in v.items()}
-                else:
-                    inv = pow(c, -1, p)
-                    pivots[low] = {r: x * inv % p for r, x in v.items()}
+                pivots[low] = _pivot(v, c, p)
                 break
+            if type(piv) is int:  # its lowest entry is +1 by the sign rule
+                piv = pivots[low] = _pivot(_signed(build(piv)), 1, p)
             a = piv[low]  # 1 over GF(p)
             if a != 1:
                 g = gcd(a, c)
@@ -223,9 +267,12 @@ def _rank_sparse(m: list[int], p: int | None) -> int:
     return len(pivots)
 
 
-def matrix_rank(m: list[int], field: FieldSpec) -> int:
+def matrix_rank(m, field: FieldSpec) -> int:
+    """Rank over field of m = (lows, build): lows[j] is the lowest row of
+    column j, which is not zero, and build(j) returns column j as a
+    bitmask; see the module docstring."""
     p = field.p if field.variant == "prime" else None
-    return _rank_gf2(m) if p == 2 else _rank_sparse(m, p)
+    return _rank_gf2(*m) if p == 2 else _rank_sparse(*m, p)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +285,7 @@ def betti(k: Complex, field: FieldSpec = GF2) -> BettiVector:
         return BettiVector((), field)
     layers = _faces_by_dim(k)
     # ranks[j]: rank of the map out of layers[j]; zero out of C_{-1} and into the top
-    ranks = [0] + [matrix_rank(m, field) for m in boundary_matrices(k)] + [0]
+    ranks = [0] + [matrix_rank(_lazy(*m), field) for m in boundary_matrices(k)] + [0]
     out = []
     for j, faces in enumerate(layers):
         b = len(faces) - ranks[j] - ranks[j + 1]

@@ -83,6 +83,14 @@ def boundary_matrices_oracle(k: Complex) -> list[list[int]]:
     return mats
 
 
+def lazy_columns(m: list[int]):
+    """The bitmask columns m, less any zero column (which adds nothing to
+    a rank), in the form `matrix_rank` takes: the top (largest) row of
+    each column, and the column list's own indexing as the builder."""
+    cols = [col for col in m if col]
+    return [col.bit_length() - 1 for col in cols], cols.__getitem__
+
+
 def kept_columns_oracle(m: list, upper: list[int]) -> list:
     """The columns of m, in order, less those at the lowest row of some
     column of upper, the full matrix above m: the filter `betti` once ran
@@ -205,13 +213,13 @@ def betti_oracle(k: Complex, p: int | None) -> dict[int, int]:
 def betti_full_rank_oracle(k: Complex, field) -> dict[int, int]:
     """Reduced Betti numbers by the path `betti` ran before clearing:
     `matrix_rank` of every column of every full matrix, here those of
-    `boundary_matrices_oracle`.  Layer j has one face per column of
-    d_{j-1}, and the empty face alone in layer 0."""
+    `boundary_matrices_oracle` through `lazy_columns`.  Layer j has one
+    face per column of d_{j-1}, and the empty face alone in layer 0."""
     if k.is_void:
         return {}
     mats = boundary_matrices_oracle(k)
     sizes = [1] + [len(m) for m in mats]
-    ranks = [0] + [matrix_rank(m, field) for m in mats] + [0]
+    ranks = [0] + [matrix_rank(lazy_columns(m), field) for m in mats] + [0]
     return {j - 1: b for j, size in enumerate(sizes) if (b := size - ranks[j] - ranks[j + 1])}
 
 

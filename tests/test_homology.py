@@ -1,9 +1,12 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from flagbetti.complexes import (
     EMPTY,
+    Complex,
     VOID,
     alexander_dual,
     delete_vertex,
@@ -16,7 +19,8 @@ from flagbetti.complexes import (
     sphere0,
 )
 from flagbetti.constructions import fano_complex
-from flagbetti.graphs import bits, complete, copies, cycle, empty_graph
+from flagbetti import homology
+from flagbetti.graphs import bits, complete, copies, cycle, empty_graph, from_edges
 from flagbetti.homology import (
     GF2,
     GF3,
@@ -24,6 +28,7 @@ from flagbetti.homology import (
     BettiVector,
     FieldSpec,
     _faces_by_dim,
+    _lazy,
     _rank_gf2,
     _rank_sparse,
     betti,
@@ -40,6 +45,7 @@ from oracles import (
     boundary_matrices_oracle,
     dense_rank_oracle,
     kept_columns_oracle,
+    lazy_columns,
     total_betti_oracle,
 )
 
@@ -109,12 +115,26 @@ def signed_dense(m: list[int]) -> list[list[int]]:
     return a
 
 
+def built(k) -> list[list[int]]:
+    """The columns of each matrix `boundary_matrices(k)` returns, each
+    built by the builder the rank routines call, after checking that its
+    given lowest row is the built column's largest row."""
+    mats = []
+    for m in boundary_matrices(k):
+        lows, build = _lazy(*m)
+        cols = [build(j) for j in range(len(lows))]
+        assert lows == [col.bit_length() - 1 for col in cols], k
+        mats.append(cols)
+    return mats
+
+
 class TestBoundary:
     def test_augmentation_and_shapes(self):
-        assert boundary_matrices(sphere0()) == [[1, 1]]
+        assert built(sphere0()) == [[1, 1]]
         # simplex(2): vertex 1 over the empty face, edge 3 over both
         # vertices; the edge clears vertex 2, its largest row
-        assert boundary_matrices(simplex(2)) == [[1], [3]]
+        assert built(simplex(2)) == [[1], [3]]
+        assert boundary_matrices(simplex(2)) == [({0: 0}, [1]), ({1: 0, 2: 1}, [3])]
 
     def test_dd_zero_rational(self, rng):
         # rank d_i + rank d_{i+1} <= dim C_i is the matrix-level shadow of
@@ -147,7 +167,43 @@ class TestBoundary:
         for k in cases:
             full = boundary_matrices_oracle(k)
             expected = [kept_columns_oracle(m, upper) for m, upper in zip(full, full[1:])] + full[-1:]
-            assert boundary_matrices(k) == expected, k
+            assert built(k) == expected, k
+
+
+def relabelled_copies(s: int, seed: int) -> Complex:
+    """Ind of s disjoint 5-cycles, its vertices shuffled by the seed."""
+    g = copies(s, cycle(5))
+    pi = list(range(g.n))
+    random.Random(seed).shuffle(pi)
+    return independence_complex(from_edges(g.n, [(pi[u], pi[v]) for u, v in g.edges()]))
+
+
+class TestLazyColumns:
+    """A column is built only when it meets a pivot at its lowest row, or
+    when the reduction first reads it as a pivot."""
+
+    @pytest.mark.parametrize(
+        "field, builds", [(GF2, 1600), (GF3, 1600), (RATIONALS, 1600)], ids=str
+    )
+    def test_build_counts(self, monkeypatch, field, builds):
+        column, times_built = homology._column, Counter()
+
+        def counted(index, faces, j):
+            times_built[faces[j]] += 1
+            return column(index, faces, j)
+
+        monkeypatch.setattr(homology, "_column", counted)
+        # the join of four circles is S^7; clearing keeps 7,333 of its
+        # 14,640 columns, and the ranks build 1,600 of those
+        k = relabelled_copies(4, 1)
+        assert betti(k, field).by_degree == ((7, 1),)
+        assert sum(len(faces) for _, faces in boundary_matrices(k)) == 7333
+        assert times_built.total() == builds
+        assert max(times_built.values()) == 1
+        times_built.clear()
+        k = relabelled_copies(2, 1)
+        assert dict(betti(k, field).by_degree) == betti_oracle(k, field.p) == {3: 1}
+        assert max(times_built.values()) == 1
 
 
 class TestBetti:
@@ -277,9 +333,9 @@ class TestRanks:
         # check exact agreement for complexes with free homology
         k = skeleton_simplex(5, 2)
         for m in boundary_matrices_oracle(k):
-            r2 = matrix_rank(m, GF2)
-            r3 = matrix_rank(m, GF3)
-            rq = matrix_rank(m, RATIONALS)
+            r2 = matrix_rank(lazy_columns(m), GF2)
+            r3 = matrix_rank(lazy_columns(m), GF3)
+            rq = matrix_rank(lazy_columns(m), RATIONALS)
             assert r2 == r3 == rq
 
     def test_sparse_mod_2_matches_xor_reduction(self, rng):
@@ -287,7 +343,7 @@ class TestRanks:
         for _ in range(40):
             k = random_complex(rng, rng.randint(1, 7), rng.randint(1, 6))
             for m in boundary_matrices_oracle(k):
-                assert _rank_sparse(m, 2) == _rank_gf2(m)
+                assert _rank_sparse(*lazy_columns(m), 2) == _rank_gf2(*lazy_columns(m))
 
     @pytest.mark.parametrize("p", [3, 7, 2**31 - 1, None], ids=str)
     def test_sparse_rank_matches_dense_oracle(self, rng, p):
@@ -295,7 +351,8 @@ class TestRanks:
         cases += [RP2, independence_complex(copies(2, cycle(5)))]
         for k in cases:
             for m in boundary_matrices_oracle(k):
-                assert _rank_sparse(m, p) == dense_rank_oracle(signed_dense(m), p), (k, p)
+                rank = _rank_sparse(*lazy_columns(m), p)
+                assert rank == dense_rank_oracle(signed_dense(m), p), (k, p)
 
     @pytest.mark.parametrize("p", [3, 7, 2**31 - 1, None], ids=str)
     def test_sparse_rank_of_arbitrary_columns(self, rng, p):
@@ -304,7 +361,8 @@ class TestRanks:
         for _ in range(200):
             rows = rng.randint(1, 10)
             m = [rng.getrandbits(rows) for _ in range(rng.randint(1, 12))]
-            assert _rank_sparse(m, p) == dense_rank_oracle(signed_dense(m), p), (m, p)
+            rank = _rank_sparse(*lazy_columns(m), p)
+            assert rank == dense_rank_oracle(signed_dense(m), p), (m, p)
 
     def test_cleared_columns_keep_rank(self, rng):
         # clearing drops from d_i (i below the top) the faces t less their
@@ -318,7 +376,8 @@ class TestRanks:
             for i, (m, upper) in enumerate(zip(mats, mats[1:])):
                 kept = kept_columns_oracle(m, upper)
                 for field in FIELDS:
-                    assert matrix_rank(kept, field) == matrix_rank(m, field), (k, i, field)
+                    rank = matrix_rank(lazy_columns(kept), field)
+                    assert rank == matrix_rank(lazy_columns(m), field), (k, i, field)
                 # layers[i + 1] labels the columns of d_i, layers[i + 2] those of d_{i+1}
                 dropped = set(layers[i + 1]) - set(kept_columns_oracle(layers[i + 1], upper))
                 assert dropped == {t ^ (t & -t) for t in layers[i + 2]}, (k, i)
