@@ -6,8 +6,8 @@ import pytest
 
 from flagbetti.complexes import (
     EMPTY,
-    Complex,
     VOID,
+    Complex,
     alexander_dual,
     delete_vertex,
     from_facets,
@@ -51,7 +51,9 @@ from oracles import (
 
 FIELDS = (GF2, GF3, RATIONALS)
 # (field, the oracle's p) for the sparse GF(p)/Q rank routine
-ODD_FIELDS = ((GF3, 3), (FieldSpec("prime", 7), 7), (RATIONALS, None))
+ODD_FIELDS = (
+    (GF3, 3), (FieldSpec("prime", 7), 7), (FieldSpec("prime", 2**31 - 1), 2**31 - 1), (RATIONALS, None)
+)
 
 # minimal 6-vertex triangulation of RP^2: its 2-torsion makes GF(2) differ
 # from GF(3) and the rationals
