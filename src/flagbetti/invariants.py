@@ -36,8 +36,12 @@ All bound comparisons pit an exact integer against a rational interval
 enclosing the (usually irrational) right-hand side, so a reported
 violation can never be a floating-point artifact.  Every growth base is
 the root of a polynomial with integer coefficients, and `bisect_root`
-encloses it to width 2^-120 by an exact integer bisection, which a
-floating-point estimate may only narrow once exact evaluation confirms it.
+encloses it to width 2^-120 by an exact integer bisection on the
+polynomial scaled by 2^(120 deg), whose terms are shifts.  The bracket
+is checked on p(lo) and p(hi) in small integers.  A floating-point
+estimate over the non-zero terms (float bisection, safeguarded float
+Newton, two Newton steps at 60 digits) may narrow the bisection to
+[k, k+1] / 2^120 only once exact evaluation confirms p(k) < 0 < p(k+1).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 
 from .complexes import Complex, _membership, independence_complex, minimal_nonfaces
 from .graphs import Graph, _component, bits, graph_predicates, induced
@@ -135,9 +139,11 @@ def bisect_root(coeffs: tuple[int, ...], lo: int = 1, hi: int = 2) -> Enclosure:
     """Enclosure of the root in [lo, hi] of p(x) = sum of coeffs[i] x^i.
 
     The coefficients are integers, constant term first, and so are lo and
-    hi; p must be <= 0 at lo and >= 0 at hi, or ValueError.  The search
-    bisects the integers k in [lo 2^120, hi 2^120] by the sign of the exact
-    integer 2^(120 deg) p(k / 2^120) (Horner's rule over the non-zero
+    hi; p must be <= 0 at lo and >= 0 at hi, or ValueError.  That check and
+    the exact roots at lo and hi are read off p(lo) and p(hi) in small
+    integers.  The search bisects the integers k in [lo 2^120, hi 2^120] by
+    the sign of the exact integer 2^(120 deg) p(k / 2^120), whose terms
+    c_i 2^(120 (deg - i)) are shifts (Horner's rule over the non-zero
     terms), and returns [k, k+1] / 2^120, of width 2^-120, or an exact
     enclosure where p vanishes at a probed point.  When hi - lo is a power
     of two, as for [1, 2], every midpoint (a + b) // 2 is exact, so the
@@ -146,8 +152,14 @@ def bisect_root(coeffs: tuple[int, ...], lo: int = 1, hi: int = 2) -> Enclosure:
     bisection's final [k, k+1] is the only one with p(k) < 0 < p(k+1): an
     estimate of k by `_root_estimate` that passes that exact test is taken
     as it is, and one that fails leaves the bisection to run in full."""
+    plo = sum(c * lo**i for i, c in enumerate(coeffs) if c)
+    phi = sum(c * hi**i for i, c in enumerate(coeffs) if c)
+    if not plo <= 0 <= phi:
+        raise ValueError("root not bracketed")
+    if plo == 0 or phi == 0:
+        return Enclosure.exact(lo if plo == 0 else hi)
     scale, deg = 1 << 120, len(coeffs) - 1
-    terms = [(i, c * scale ** (deg - i)) for i, c in reversed(list(enumerate(coeffs))) if c]
+    terms = [(i, c << 120 * (deg - i)) for i, c in reversed(list(enumerate(coeffs))) if c]
 
     def value(k: int) -> int:
         acc, prev = 0, deg
@@ -156,11 +168,6 @@ def bisect_root(coeffs: tuple[int, ...], lo: int = 1, hi: int = 2) -> Enclosure:
         return acc * k**prev
 
     a, b = lo * scale, hi * scale
-    va, vb = value(a), value(b)
-    if not va <= 0 <= vb:
-        raise ValueError("root not bracketed")
-    if va == 0 or vb == 0:
-        return Enclosure.exact(lo if va == 0 else hi)
     signs = [c > 0 for c in coeffs if c]
     if sum(x != y for x, y in zip(signs, signs[1:])) == 1:
         # Descartes: one sign change, so p has one positive root, a simple
@@ -183,32 +190,57 @@ def bisect_root(coeffs: tuple[int, ...], lo: int = 1, hi: int = 2) -> Enclosure:
 
 def _root_estimate(coeffs: tuple[int, ...], lo: int, hi: int, scale: int) -> int | None:
     """An estimate of floor(r * scale) for the root r in [lo, hi] of the
-    polynomial, p(lo) <= 0 <= p(hi), by a float bisection and three Newton
-    steps at 60 digits; None when the floats overflow or p' vanishes.  The
-    caller checks it by exact evaluation."""
+    polynomial, p(lo) <= 0 <= p(hi), over its non-zero terms: a float
+    bisection to width 2^-20, float Newton steps that fall back to the
+    bracket's midpoint when they leave it, then two Newton steps at 60
+    digits.  None when a float overflows or p' vanishes.  The caller
+    checks it by exact evaluation."""
+    terms = [(i, c) for i, c in enumerate(coeffs) if c]
+
+    def evaluate(x, terms):
+        # p(x) and x p'(x) over the terms, for the step x - x p / (x p')
+        p = dp = 0 * x
+        for i, c in terms:
+            t = c * x**i
+            p += t
+            dp += i * t
+        return p, dp
+
     try:
-        fc = [float(c) for c in reversed(coeffs)]
+        fterms = [(i, float(c)) for i, c in terms]
+        x0, x1 = float(lo), float(hi)
+        while x1 - x0 > 2**-20:
+            mid = (x0 + x1) / 2
+            v = sum(c * mid**i for i, c in fterms)
+            if not isfinite(v):
+                return None
+            x0, x1 = (mid, x1) if v < 0 else (x0, mid)
+        x = (x0 + x1) / 2
+        for _ in range(60):
+            p, dp = evaluate(x, fterms)
+            if not isfinite(p) or not isfinite(dp) or not dp:
+                return None
+            if p == 0:
+                break
+            x0, x1 = (x, x1) if p < 0 else (x0, x)
+            dx = x * p / dp
+            if not x0 < x - dx < x1:
+                x = (x0 + x1) / 2
+                continue
+            x -= dx
+            if abs(dx) < 2**-30 * abs(x):  # one more step gains nothing in floats
+                break
     except OverflowError:
         return None
-    x0, x1 = float(lo), float(hi)
-    for _ in range(60):
-        mid = (x0 + x1) / 2
-        acc = 0.0
-        for c in fc:
-            acc = acc * mid + c
-        x0, x1 = (mid, x1) if acc < 0 else (x0, mid)
     with localcontext() as ctx:
         ctx.prec = 60
-        dc = [Decimal(c) for c in reversed(coeffs)]
-        x = Decimal(x0)
-        for _ in range(3):
-            p = dp = Decimal(0)
-            for c in dc:
-                dp = dp * x + p
-                p = p * x + c
+        dterms = [(i, Decimal(c)) for i, c in terms]
+        x = Decimal(x)
+        for _ in range(2):
+            p, dp = evaluate(x, dterms)
             if not dp:
                 return None
-            x -= p / dp
+            x -= x * p / dp
         return int(x * scale) if x.is_finite() else None
 
 

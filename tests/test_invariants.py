@@ -85,6 +85,13 @@ class TestEnclosure:
         enc = bisect_root(coeffs)
         assert (enc.lo, enc.hi) == (root, root)
 
+    def test_bracket_on_one_to_three(self):
+        """The bracket check and the exact roots at both ends of [1, 3]."""
+        assert invariants._root_of_power(1, 5) == Enclosure.exact(1)
+        assert invariants._root_of_power(3**7, 7) == Enclosure.exact(3)
+        with pytest.raises(ValueError):
+            bisect_root((-(3**5) - 1,) + (0,) * 4 + (1,), 1, 3)  # x^5 - 244 < 0 at 3
+
     def test_warm_start_equals_integer_bisection(self):
         """Endpoint for endpoint, bisect_root gives what the plain integer
         bisection gives: on the four families up to d = 50, whose single
@@ -114,6 +121,18 @@ class TestEnclosure:
             enc = bisect_root(coeffs, lo, hi)
             assert (enc.lo, enc.hi) == integer_bisection_oracle(coeffs, lo, hi), coeffs
         assert bisect_root(*others[1]).lo == Fraction(scale + 1, scale)
+
+    @pytest.mark.parametrize("value, degree", [
+        (2**1000, 792),  # 2.5^792 overflows a float partway through
+        (3**700 - 1, 700),  # the constant term overflows a float
+    ], ids=["power", "coefficient"])
+    def test_estimate_overflow_falls_through(self, value, degree):
+        """Where the float estimate overflows it gives None, and the full
+        bisection runs."""
+        coeffs = (-value,) + (0,) * (degree - 1) + (1,)
+        assert invariants._root_estimate(coeffs, 1, 3, 1 << 120) is None
+        enc = invariants._root_of_power(value, degree)
+        assert (enc.lo, enc.hi) == integer_bisection_oracle(coeffs, 1, 3)
 
     @pytest.mark.parametrize("wrong", [
         lambda k, a, b: None,
