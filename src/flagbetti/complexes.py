@@ -188,9 +188,10 @@ def minimal_nonfaces(k: Complex) -> tuple[int, ...]:
     """Inclusion-minimal vertex sets of the ambient set contained in no
     facet, i.e. minimal transversals of the facet complements (the holes).
     Each branch takes a vertex of the first hole it has not yet hit, and
-    later siblings exclude it, so no set is reached twice.  A transversal
-    is minimal iff each of its vertices is the only chosen one in some
-    hole, and only those are kept."""
+    later siblings exclude it, so no set is reached twice; the branches
+    wait on an explicit stack, so no depth meets the recursion limit.  A
+    transversal is minimal iff each of its vertices is the only chosen
+    one in some hole, and only those are kept."""
     if k.is_void:
         raise ValueError("void complex has no non-faces")
     full = (1 << k.n) - 1
@@ -199,8 +200,9 @@ def minimal_nonfaces(k: Complex) -> tuple[int, ...]:
         # some facet is the full vertex set: no non-faces
         return ()
     found: list[int] = []
-
-    def branch(chosen: int, allowed: int, remaining: list[int]):
+    stack = [(0, full, holes)]  # (chosen, allowed, remaining) per branch
+    while stack:
+        chosen, allowed, remaining = stack.pop()
         rem = [h for h in remaining if not h & chosen]
         if not rem:
             private = 0
@@ -210,13 +212,10 @@ def minimal_nonfaces(k: Complex) -> tuple[int, ...]:
                     private |= hit
             if private == chosen:
                 found.append(chosen)
-            return
-        hole = rem[0]
-        for v in bits(hole & allowed):
-            branch(chosen | 1 << v, allowed, rem)
+            continue
+        for v in bits(rem[0] & allowed):
+            stack.append((chosen | 1 << v, allowed, rem))
             allowed &= ~(1 << v)
-
-    branch(0, full, holes)
     return tuple(sorted(found))
 
 

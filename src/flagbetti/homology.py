@@ -138,14 +138,14 @@ def _faces_by_dim(k: Complex) -> list[list[int]]:
     return [list(layer) for _, layer in groupby(all_faces(k), int.bit_count)]
 
 
-def boundary_matrices(k: Complex) -> list[tuple[dict[int, int], list[int]]]:
+def boundary_matrices(k: Complex) -> list[tuple[list[int], partial]]:
     """Matrices d_i: C_i -> C_{i-1} for i = 0..dim, cleared, with no
-    column built.  Each d_i is (index, faces): index maps each face of the
-    whole sorted lower layer to its row, and faces, one per column, are
-    the sorted upper layer less the cleared faces; the top matrix is
-    whole.  `_column(index, faces, j)` builds column j.  Index 0 is
-    the augmentation d_0: C_0 -> C_{-1}.  Each d_i has the rank of the
-    full map."""
+    column built, each as `matrix_rank` takes it: (lows, build).  The
+    columns are the faces of the sorted upper layer less the cleared
+    faces (the top matrix is whole); lows[j] is the row of column j's
+    face f less its lowest vertex, f & (f - 1), in the whole sorted lower
+    layer, and build(j) builds column j.  Index 0 is the augmentation
+    d_0: C_0 -> C_{-1}.  Each d_i has the rank of the full map."""
     if k.is_void:
         raise ValueError("void complex has no chain complex")
     layers = _faces_by_dim(k)
@@ -154,12 +154,13 @@ def boundary_matrices(k: Complex) -> list[tuple[dict[int, int], list[int]]]:
         if j + 2 < len(layers):
             dropped = {t & (t - 1) for t in layers[j + 2]}
             upper = [f for f in upper if f not in dropped]
-        mats.append(({f: i for i, f in enumerate(lower)}, upper))
+        index = {f: i for i, f in enumerate(lower)}
+        mats.append(([index[f & f - 1] for f in upper], partial(_column, index, upper)))
     return mats
 
 
 def _column(index: dict[int, int], faces: list[int], j: int) -> int:
-    """Column j of the matrix (index, faces) as a bitmask."""
+    """Column j, the face faces[j], as a bitmask over the rows of index."""
     f = rest = faces[j]
     col = 0
     while rest:  # drop each vertex of f, from the top
@@ -167,12 +168,6 @@ def _column(index: dict[int, int], faces: list[int], j: int) -> int:
         col |= 1 << index[f ^ top]
         rest ^= top
     return col
-
-
-def _lazy(index: dict[int, int], faces: list[int]):
-    """The matrix (index, faces) as `matrix_rank` takes it: each column's
-    lowest row, the row of f & (f - 1), and a builder of column j."""
-    return [index[f & f - 1] for f in faces], partial(_column, index, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +280,7 @@ def betti(k: Complex, field: FieldSpec = GF2) -> BettiVector:
         return BettiVector((), field)
     layers = _faces_by_dim(k)
     # ranks[j]: rank of the map out of layers[j]; zero out of C_{-1} and into the top
-    ranks = [0] + [matrix_rank(_lazy(*m), field) for m in boundary_matrices(k)] + [0]
+    ranks = [0] + [matrix_rank(m, field) for m in boundary_matrices(k)] + [0]
     out = []
     for j, faces in enumerate(layers):
         b = len(faces) - ranks[j] - ranks[j + 1]

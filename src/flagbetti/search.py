@@ -448,34 +448,27 @@ def conjecture_checks(
     }
 
 
-def _alpha_table(adj: tuple[int, ...]) -> list[int]:
-    """Independence number of every induced subgraph: entry S (a vertex
-    bitmask) is alpha of the graph induced on S.  With v the lowest vertex
-    of S, alpha(S) = max(alpha(S - v), 1 + alpha(S - N[v])); both sets are
-    below S, so one ascending pass fills the table."""
-    closed = {1 << v: a | 1 << v for v, a in enumerate(adj)}
-    alpha = [0] * (1 << len(adj))
-    for s in range(1, len(alpha)):
-        low = s & -s
-        keep, take = alpha[s ^ low], alpha[s & ~closed[low]] + 1
-        alpha[s] = keep if keep > take else take
+def _alpha(adj: tuple[int, ...]):
+    """The independence number of the graph adj induced on a vertex
+    bitmask s, as a function of s, memoised by mask for this one graph.
+    With v the lowest vertex of s, alpha(s) = max(alpha(s - v),
+    1 + alpha(s - N[v])).  When v has at most one neighbour in s, some
+    maximum independent set holds v, so s - v is not asked."""
+    memo = {0: 0}
+
+    def alpha(s: int) -> int:
+        a = memo.get(s)
+        if a is None:
+            low = s & -s
+            nv = adj[low.bit_length() - 1] & s
+            a = 1 + alpha(s & ~(nv | low))
+            if nv & (nv - 1):
+                keep = alpha(s ^ low)
+                a = keep if keep > a else a
+            memo[s] = a
+        return a
+
     return alpha
-
-
-def _independence_number(adj: tuple[int, ...], s: int) -> int:
-    """alpha of the graph induced on the vertex bitmask s, by
-    `_alpha_table`'s recurrence at the lowest vertex v, but only over the
-    subsets it reaches.  When v has at most one neighbour in s, some
-    maximum independent set holds v, so s - v is not visited."""
-    if not s:
-        return 0
-    low = s & -s
-    nv = adj[low.bit_length() - 1] & s
-    take = 1 + _independence_number(adj, s & ~nv & ~low)
-    if not nv & (nv - 1):
-        return take
-    keep = _independence_number(adj, s ^ low)
-    return keep if keep > take else take
 
 
 def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
@@ -489,11 +482,10 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     whose independence number clears the threshold are built and
     computed.  A child whose new vertex has neighbourhood nb has
     alpha = max(alpha(P), 1 + alpha(P - nb)), at most the parent's plus
-    one, so a parent P whose `_independence_number` is below the
-    threshold minus one is skipped, and each parent kept builds one
-    `_alpha_table` for its children.  `graphs_examined` counts the
-    children of the parents kept (for n = 0, the one 0-vertex graph,
-    whose alpha 0 is below it).
+    one, so a parent P whose alpha is below the threshold minus one is
+    skipped; one `_alpha` per parent answers for P and its children.
+    `graphs_examined` counts the children of the parents kept (for n = 0,
+    the one 0-vertex graph, whose alpha 0 is below it).
     """
     if n < 0:
         raise ValueError(f"need n >= 0 vertices, got {n}")
@@ -507,12 +499,13 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     violations = []
     for parent in _classes(n - 1, False) if n else ():
         full = parent.vertex_mask
-        if _independence_number(parent.adj, full) + 1 < min_alpha:
+        alpha = _alpha(parent.adj)
+        top = alpha(full)
+        if top + 1 < min_alpha:
             continue
-        alpha = _alpha_table(parent.adj)
         for nb in _extensions(parent, False):
             examined += 1
-            if max(alpha[full], 1 + alpha[full & ~nb]) < min_alpha:
+            if max(top, 1 + alpha(full & ~nb)) < min_alpha:
                 continue
             computed += 1
             g = _child(parent, nb)

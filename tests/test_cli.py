@@ -137,18 +137,31 @@ def test_unwritable_checkpoint_is_resource_error(runner, tmp_path):
     assert "No such file or directory" in json.loads(res.stderr)["error"]
 
 
-def test_deep_recursion_is_resource_error(runner, tmp_path):
-    # the boundary of the 1,499-simplex: the dual's transversal search
-    # recurses once per vertex, past Python's recursion limit
-    n = 1500
-    path = tmp_path / "sphere.facets"
-    path.write_text(f"n {n}\n" + "".join(
-        " ".join(str(v) for v in range(n) if v != i) + "\n" for i in range(n)))
+def test_deep_recursion_is_resource_error(runner, tmp_path, monkeypatch):
+    # no known input reaches the recursion limit, so the library call raises
+    def too_deep(k):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "alexander_dual", too_deep)
+    path = tmp_path / "fano.facets"
+    path.write_text(write_facet_file(fano_complex().complex_))
     res = invoke(runner, ["dual", "--facets", str(path)])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1
     assert "recursion" in json.loads(res.stderr)["error"]
+
+
+def test_dual_of_a_large_sphere(runner, tmp_path):
+    # the boundary of the 1,499-simplex: its one minimal non-face is the
+    # whole vertex set, reached by a transversal search 1,500 vertices deep
+    n = 1500
+    path = tmp_path / "sphere.facets"
+    path.write_text(f"n {n}\n" + "".join(
+        " ".join(str(v) for v in range(n) if v != i) + "\n" for i in range(n)))
+    res = invoke(runner, ["dual", "--facets", str(path)])
+    assert res.exit_code == 0
+    assert res.stdout == f"n {n}\nempty\n"
 
 
 def test_help_is_not_an_error(runner):

@@ -522,18 +522,23 @@ class TestConjectureChecks:
 
 
 class TestVanishingSweep:
-    def test_alpha_table_against_brute_force(self):
+    def test_alpha_against_brute_force(self):
+        # every mask asked once, ascending and then shuffled, each order
+        # on a fresh memo, as the sweep asks its parent's masks
         rng = random.Random(3)
         for _ in range(60):
             g = random_graph(rng, rng.randint(0, 7), rng.random())
-            alpha = search._alpha_table(g.adj)
             best = [0] * (1 << g.n)
             for s in independent_sets_oracle(g):
                 for mask in range(1 << g.n):
                     if s & mask == s:
                         best[mask] = max(best[mask], bin(s).count("1"))
-            assert alpha == best
-            assert [search._independence_number(g.adj, mask) for mask in range(1 << g.n)] == best
+            masks = list(range(1 << g.n))
+            alpha = search._alpha(g.adj)
+            assert [alpha(mask) for mask in masks] == best
+            rng.shuffle(masks)
+            alpha = search._alpha(g.adj)
+            assert [alpha(mask) for mask in masks] == [best[mask] for mask in masks]
 
     @pytest.mark.parametrize("n, examined, computed",
                              [(0, 1, 0), (1, 1, 1), (6, 160, 37), (7, 1578, 533)])
