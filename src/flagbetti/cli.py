@@ -5,8 +5,9 @@ counterexample), 2 usage or resource error.  All regular output is JSON
 (or TSV where noted); stderr carries machine-readable error JSON.
 
 Library errors are mapped to exit codes in one place, `_Boundary.invoke`:
-a ValueError, ArithmeticError, OSError, RecursionError or FaceCapExceeded
-from any command exits 2, so a crash never reads as a counterexample.
+a ValueError, ArithmeticError, OSError, RecursionError, MemoryError or
+FaceCapExceeded from any command exits 2, so a crash never reads as a
+counterexample.
 Only `constants` maps an error itself: its failed maximality sweep is a
 failed check (exit 1).
 """
@@ -69,8 +70,9 @@ class _Boundary(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, ArithmeticError, OSError, RecursionError, FaceCapExceeded) as exc:
-            _fail(str(exc))
+        except (ValueError, ArithmeticError, OSError, RecursionError, MemoryError,
+                FaceCapExceeded) as exc:
+            _fail(str(exc) or type(exc).__name__)
 
 
 @click.group(cls=_Boundary)

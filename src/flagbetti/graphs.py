@@ -52,7 +52,7 @@ def _bits_table(width: int) -> tuple[tuple[int, ...], ...]:
 
 
 _BITS_TABLE = _bits_table(10)
-# the six bits of each graph6 character in reverse order
+# the six bits of each graph6 character in reverse order; its own inverse
 _REVERSED_SIX = tuple(int(f"{c:06b}"[::-1], 2) for c in range(64))
 
 
@@ -182,17 +182,12 @@ def _pack_graph6(cols: list[int]) -> str:
     n = len(cols)
     if n > 62:
         raise Graph6Error(f"graph6 supports at most 62 vertices, got {n}")
+    # parse_graph6's layout: column j from bit j (j - 1) / 2 up, x(i,j) at bit i
     acc = 0
-    for j, col in enumerate(cols):
-        # column j is x(0,j) ... x(j-1,j), read from the top bit down
-        rev = 0
-        for i in bits(col):
-            rev |= 1 << (j - 1 - i)
-        acc = acc << j | rev
-    nbits = n * (n - 1) // 2
-    pad = -nbits % 6
-    acc <<= pad
-    return chr(n + 63) + "".join([chr((acc >> s & 63) + 63) for s in range(nbits + pad - 6, -1, -6)])
+    for j in range(n - 1, 0, -1):
+        acc = acc << j | cols[j]
+    return chr(n + 63) + "".join([chr(_REVERSED_SIX[acc >> s & 63] + 63)
+                                  for s in range(0, n * (n - 1) // 2, 6)])
 
 
 def encode_graph6(g: Graph) -> str:

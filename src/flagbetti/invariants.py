@@ -39,9 +39,11 @@ the root of a polynomial with integer coefficients, and `bisect_root`
 encloses it to width 2^-120 by an exact integer bisection on the
 polynomial scaled by 2^(120 deg), whose terms are shifts.  The bracket
 is checked on p(lo) and p(hi) in small integers.  A floating-point
-estimate over the non-zero terms (float bisection, safeguarded float
-Newton, two Newton steps at 60 digits) may narrow the bisection to
-[k, k+1] / 2^120 only once exact evaluation confirms p(k) < 0 < p(k+1).
+estimate k over the non-zero terms (float bisection, safeguarded float
+Newton, two Newton steps at 60 digits) only orders the first probes, k,
+k + 1, k - 1 and k + 2; every change to the bracket is the exact sign of
+p at a probe, so the estimate can cost time but never change an
+enclosure.
 """
 
 from __future__ import annotations
@@ -149,9 +151,11 @@ def bisect_root(coeffs: tuple[int, ...], lo: int = 1, hi: int = 2) -> Enclosure:
     of two, as for [1, 2], every midpoint (a + b) // 2 is exact, so the
     endpoints are those of the bisection by exact dyadic midpoints.  When
     the coefficients change sign once, p has one positive root, so the
-    bisection's final [k, k+1] is the only one with p(k) < 0 < p(k+1): an
-    estimate of k by `_root_estimate` that passes that exact test is taken
-    as it is, and one that fails leaves the bisection to run in full."""
+    bisection's final [k, k+1] is the only one with p(k) < 0 < p(k+1), and
+    every order of probes ends there.  Then `_root_estimate`'s k queues the
+    probes k, k + 1, k - 1, k + 2: each step takes the next queued probe
+    strictly inside the bracket, or else the midpoint, and moves an end by
+    the exact sign of the value there."""
     plo = sum(c * lo**i for i, c in enumerate(coeffs) if c)
     phi = sum(c * hi**i for i, c in enumerate(coeffs) if c)
     if not plo <= 0 <= phi:
@@ -168,19 +172,16 @@ def bisect_root(coeffs: tuple[int, ...], lo: int = 1, hi: int = 2) -> Enclosure:
         return acc * k**prev
 
     a, b = lo * scale, hi * scale
+    probes = iter(())
     signs = [c > 0 for c in coeffs if c]
     if sum(x != y for x, y in zip(signs, signs[1:])) == 1:
         # Descartes: one sign change, so p has one positive root, a simple
         # one, and exactly one k in [a, b) has value(k) < 0 < value(k + 1)
         k = _root_estimate(coeffs, lo, hi, scale)
-        if k is not None and a <= k < b:
-            vk, vk1 = value(k), value(k + 1)
-            if vk == 0 or vk1 == 0:
-                return Enclosure.exact(Fraction(k if vk == 0 else k + 1, scale))
-            if vk < 0 < vk1:
-                a, b = k, k + 1
+        if k is not None:
+            probes = iter((k, k + 1, k - 1, k + 2))
     while b - a > 1:
-        mid = (a + b) // 2
+        mid = next((m for m in probes if a < m < b), (a + b) // 2)
         v = value(mid)
         if v == 0:
             return Enclosure.exact(Fraction(mid, scale))
@@ -194,7 +195,7 @@ def _root_estimate(coeffs: tuple[int, ...], lo: int, hi: int, scale: int) -> int
     bisection to width 2^-20, float Newton steps that fall back to the
     bracket's midpoint when they leave it, then two Newton steps at 60
     digits.  None when a float overflows or p' vanishes.  The caller
-    checks it by exact evaluation."""
+    only probes it, by exact evaluation."""
     terms = [(i, c) for i, c in enumerate(coeffs) if c]
 
     def evaluate(x, terms):

@@ -152,6 +152,19 @@ def test_deep_recursion_is_resource_error(runner, tmp_path, monkeypatch):
     assert "recursion" in json.loads(res.stderr)["error"]
 
 
+def test_out_of_memory_is_resource_error(runner, monkeypatch):
+    # a MemoryError carries no message, so the error names its type
+    def out_of_memory(g, field):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "betti_graph", out_of_memory)
+    res = invoke(runner, ["betti", "--graph6", "D~{"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert json.loads(res.stderr)["error"] == "MemoryError"
+
+
 def test_dual_of_a_large_sphere(runner, tmp_path):
     # the boundary of the 1,499-simplex: its one minimal non-face is the
     # whole vertex set, reached by a transversal search 1,500 vertices deep

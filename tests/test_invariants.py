@@ -94,24 +94,30 @@ class TestEnclosure:
 
     def test_warm_start_equals_integer_bisection(self):
         """Endpoint for endpoint, bisect_root gives what the plain integer
-        bisection gives: on the four families up to d = 50, whose single
-        sign change lets the estimate narrow the bracket, and on
-        polynomials it does not, or cannot, narrow."""
+        bisection gives: on the four families up to d = 50 and at d = 100,
+        and theta_small for every d up to 100, whose single sign change lets
+        the estimate order the first probes, and on polynomials where it
+        does not, or cannot."""
         scale = 1 << 120
-        one_sign_change = []
-        for d in range(1, 51):
-            one_sign_change += [
-                ((-d,) + (0,) * d + (1,), 1, 3),
-                ((-1,) * d + (0,) * d + (1,), 1, 2),
-                ((-1,) * d + (1,), 1, 2),
+
+        def families(d):
+            out = [
+                (d, (-d,) + (0,) * d + (1,), 1, 3),
+                (d, (-1,) * d + (0,) * d + (1,), 1, 2),
+                (d, (-1,) * d + (1,), 1, 2),
             ]
             if d >= 2:
-                one_sign_change.append(((-comb(2 * d, d - 1),) + (0,) * (2 * d) + (1,), 1, 3))
-        for coeffs, lo, hi in one_sign_change:
+                out.append((d, (-comb(2 * d, d - 1),) + (0,) * (2 * d) + (1,), 1, 3))
+            return out
+
+        one_sign_change = [c for d in range(1, 51) for c in families(d)]
+        one_sign_change += [(d, (-1,) * d + (1,), 1, 2) for d in range(51, 100)] + families(100)
+        for d, coeffs, lo, hi in one_sign_change:
             enc = bisect_root(coeffs, lo, hi)
             assert (enc.lo, enc.hi) == integer_bisection_oracle(coeffs, lo, hi), coeffs
-            if enc.lo < enc.hi:  # the estimate was adopted, not bisected past
-                assert invariants._root_estimate(coeffs, lo, hi, scale) == enc.lo * scale
+            if enc.lo < enc.hi:  # the estimate is the floor, or one step off it
+                off = invariants._root_estimate(coeffs, lo, hi, scale) - enc.lo * scale
+                assert abs(off) <= (0 if d <= 50 else 1), coeffs
         others = [
             ((-336, 688, -467, 105), 1, 2),  # (3x - 4)(5x - 7)(7x - 12): three roots
             ((-(scale + 1), scale), 1, 2),  # the exact root 1 + 2^-120
