@@ -8,16 +8,19 @@ names an isomorphism class by the graph6 word (a str) of one relabelling.
 Input is validated where it enters: `Graph(...)` checks range, loops and
 symmetry, and `from_edges` and the generators and combinators below build
 through it; `parse_graph6` checks the word (length, characters and
-header) instead.  It, `induced` and the search's vertex extension
-(`search._child`) build through `_trusted_graph`, which skips `Graph`'s
-checks, because their adjacency is valid by construction: the graph6
-decode sets adj[i] and adj[j] together, only for i < j < n.
+header) instead.  It, `induced`, `canonical_graph`, the search's class
+representatives and the vanishing sweep's children (`search._child`)
+build through `_trusted_graph`, which skips `Graph`'s checks, because
+their adjacency is valid by construction: the graph6 decode and
+`_from_columns` set adj[i] and adj[j] together, only for i < j < n, and
+a vertex extension ORs the new vertex into its neighbours only.  The
+children of class enumeration are plain adjacency tuples, refined
+(`_refine_cells`) and labelled (`_min_code`) without a Graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 __all__ = [
     "Graph",
@@ -168,6 +171,8 @@ def parse_graph6(text: str) -> Graph:
         if not 63 <= code <= 126:
             raise Graph6Error("character out of graph6 range", i)
         acc |= _REVERSED_SIX[code - 63] << 6 * (i - 1)
+    # _from_columns' loop, kept inline: building the columns first and then
+    # calling it made parse_graph6 3-10 % slower on 16,000 words of 9-10 vertices
     adj = [0] * n
     for j in range(1, n):
         adj[j] = col = acc & ((1 << j) - 1)
@@ -175,6 +180,17 @@ def parse_graph6(text: str) -> Graph:
         for i in bits(col):
             adj[i] |= 1 << j
     return _trusted_graph(n, tuple(adj))
+
+
+def _from_columns(cols: list[int]) -> tuple[int, ...]:
+    """Adjacency of the graph whose column j (neighbours i < j, a bitmask)
+    is cols[j], the columns `_pack_graph6` packs and `parse_graph6`
+    decodes: adj[j] starts as its column, and each i in it gains j."""
+    adj = list(cols)
+    for j, col in enumerate(cols):
+        for i in bits(col):
+            adj[i] |= 1 << j
+    return tuple(adj)
 
 
 def _pack_graph6(cols: list[int]) -> str:
@@ -331,9 +347,10 @@ def graph_predicates(g: Graph) -> dict:
 # canonical labelling (n <= CANONICAL_CAP): colour refinement to an ordered
 # partition, then the least column codes over the orderings that respect it
 
-@lru_cache(maxsize=1)
-def _refine_cells(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """Ordered partition of iterated degree refinement, as vertex masks.
+def _refine_cells(adj: tuple[int, ...], keep: int = -1) -> tuple[int, ...] | None:
+    """Ordered partition of iterated degree refinement, as vertex masks,
+    or None once its last cell misses keep (a vertex mask; by default
+    every vertex, so the partition is always returned).
 
     The cells start as the degree classes, in ascending degree.  Each
     round splits every cell at once by its vertices' neighbour counts in
@@ -346,14 +363,18 @@ def _refine_cells(adj: tuple[int, ...]) -> tuple[int, ...]:
     already agree on every cell the last round did not create, so only
     the new cells are counted.  The first round that splits nothing, or
     a discrete partition, ends it.  The partition is an isomorphism
-    invariant.  The last call is cached, so the search's canonical-deletion
-    test and the `canonical_form` of the same child refine it once."""
+    invariant.  Rounds only split cells, and the last part of the last
+    cell is the next round's last cell, so the final last cell lies
+    inside each round's; once one misses keep, so does the final one,
+    and the search's canonical-deletion test stops refining there."""
     n = len(adj)
     by_degree: dict[int, int] = {}
     for v, a in enumerate(adj):
         d = a.bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     cells = fresh = [by_degree[d] for d in sorted(by_degree)]
+    if cells and not cells[-1] & keep:
+        return None
     base = n + 1
     while len(cells) < n:
         out: list[int] = []
@@ -377,18 +398,22 @@ def _refine_cells(adj: tuple[int, ...]) -> tuple[int, ...]:
                 born += split
         if not born:
             break
+        if not out[-1] & keep:
+            return None
         cells, fresh = out, born
     return tuple(cells)
 
 
-def _twin_classes(adj: tuple[int, ...]) -> list[int]:
-    """Vertex masks of the classes of two or more twins: vertices whose
+def _twin_classes(adj: tuple[int, ...], within: int | None = None) -> list[int]:
+    """Vertex masks of the classes of two or more twins among the vertices
+    of within (a mask; by default all of them): vertices whose
     neighbourhoods agree apart from each other.  Such a class is a clique
     of vertices with one closed neighbourhood or an independent set of
     vertices with one open neighbourhood, and no open neighbourhood equals
     another vertex's closed one, so one dict keyed by both finds them."""
     groups: dict[int, int] = {}
-    for v, a in enumerate(adj):
+    for v in range(len(adj)) if within is None else bits(within):
+        a = adj[v]
         bit = 1 << v
         groups[a] = groups.get(a, 0) | bit
         groups[a | bit] = groups.get(a | bit, 0) | bit
@@ -410,7 +435,8 @@ def _min_code(adj: tuple[int, ...], cells: tuple[int, ...]) -> list[int]:
     equals the best codes' prefix, so a larger candidate ends the
     siblings.  Swapping two twins is an automorphism, so twins share a
     cell and, while unplaced, a code; only the lowest-indexed unplaced
-    member of a twin class is tried at each position."""
+    member of a twin class is tried at each position, and twins are
+    looked for only inside the cells of two or more vertices."""
     n = len(adj)
     if len(cells) == n:
         pos = [0] * n
@@ -427,9 +453,11 @@ def _min_code(adj: tuple[int, ...], cells: tuple[int, ...]) -> list[int]:
         return codes
     slot_cell = [cell for cell in cells for _ in range(cell.bit_count())]
     lower_twins = [0] * n
-    for t in _twin_classes(adj):
-        for v in bits(t):
-            lower_twins[v] = t & ((1 << v) - 1)
+    for cell in cells:
+        if cell & (cell - 1):
+            for t in _twin_classes(adj, cell):
+                for v in bits(t):
+                    lower_twins[v] = t & ((1 << v) - 1)
     shift = n.bit_length()  # a candidate is code << shift | v
     low = (1 << shift) - 1
     code = [0] * n
@@ -466,16 +494,22 @@ def _min_code(adj: tuple[int, ...], cells: tuple[int, ...]) -> list[int]:
     return best
 
 
+def _canonical_codes(g: Graph) -> list[int]:
+    """The column codes of g canonically relabelled (see `canonical_form`)."""
+    if g.n > CANONICAL_CAP:
+        raise ValueError(f"canonical labelling refused for n={g.n} > cap={CANONICAL_CAP}")
+    return _min_code(g.adj, _refine_cells(g.adj))
+
+
 def canonical_form(g: Graph) -> str:
     """graph6 word, as a str, of g canonically relabelled: the least
     column codes over the orderings that respect g's refined colour
     partition.  Equal for two graphs iff they are isomorphic (n <=
     CANONICAL_CAP)."""
-    if g.n > CANONICAL_CAP:
-        raise ValueError(f"canonical labelling refused for n={g.n} > cap={CANONICAL_CAP}")
-    return _pack_graph6(_min_code(g.adj, _refine_cells(g.adj)))
+    return _pack_graph6(_canonical_codes(g))
 
 
 def canonical_graph(g: Graph) -> Graph:
-    """Canonically relabelled copy of g; equal for isomorphic inputs."""
-    return parse_graph6(canonical_form(g))
+    """Canonically relabelled copy of g, built from its column codes;
+    equal for isomorphic inputs."""
+    return _trusted_graph(g.n, _from_columns(_canonical_codes(g)))

@@ -194,8 +194,12 @@ def _root_estimate(coeffs: tuple[int, ...], lo: int, hi: int, scale: int) -> int
     polynomial, p(lo) <= 0 <= p(hi), over its non-zero terms: a float
     bisection to width 2^-20, float Newton steps that fall back to the
     bracket's midpoint when they leave it, then two Newton steps at 60
-    digits.  None when a float overflows or p' vanishes.  The caller
-    only probes it, by exact evaluation."""
+    digits.  The float steps start from the bracket's upper end, where
+    p >= 0: on a convex increasing p, as near the roots of the constants'
+    families, Newton's steps from there stay above the root and inside
+    the bracket.  A step may land on an end of the bracket, as when the
+    root is within an ulp of 2.  None when a float overflows or p'
+    vanishes.  The caller only probes it, by exact evaluation."""
     terms = [(i, c) for i, c in enumerate(coeffs) if c]
 
     def evaluate(x, terms):
@@ -216,7 +220,7 @@ def _root_estimate(coeffs: tuple[int, ...], lo: int, hi: int, scale: int) -> int
             if not isfinite(v):
                 return None
             x0, x1 = (mid, x1) if v < 0 else (x0, mid)
-        x = (x0 + x1) / 2
+        x = x1
         for _ in range(60):
             p, dp = evaluate(x, fterms)
             if not isfinite(p) or not isfinite(dp) or not dp:
@@ -225,7 +229,7 @@ def _root_estimate(coeffs: tuple[int, ...], lo: int, hi: int, scale: int) -> int
                 break
             x0, x1 = (x, x1) if p < 0 else (x0, x)
             dx = x * p / dp
-            if not x0 < x - dx < x1:
+            if not x0 <= x - dx <= x1:
                 x = (x0 + x1) / 2
                 continue
             x -= dx

@@ -12,9 +12,11 @@ built:
   neighbourhoods agree apart from each other), the new vertex's
   neighbours are the lowest-indexed members.
 
-A child that passes both is labelled only if its new vertex lies in the
-last cell of the ordered partition that `canonical_form` refines it to
-(`graphs._refine_cells`).  This is the canonical-deletion test of McKay's
+A child is an adjacency tuple (`_extend`), not a Graph.  One that passes
+both filters is labelled only if its new vertex lies in the last cell of
+the ordered partition that `canonical_form` refines it to
+(`graphs._refine_cells`, which gives up as soon as a round's last cell
+misses the new vertex).  This is the canonical-deletion test of McKay's
 canonical augmentation (J. Algorithms 1998).  The partition does not
 depend on the labelling and its last cell is never empty, so every
 n-vertex graph G has a vertex w in that cell, G - w is isomorphic to
@@ -29,11 +31,14 @@ lowest.
 
 `_extensions` yields the neighbourhoods that pass both filters, so every
 n-vertex class is among the children it yields.  Class enumeration
-labels those children; the vanishing sweep, for every n <= 9, examines
-them without labels or deduplication, for the parents whose independence
-number lets a child reach the threshold, and builds those whose own
-independence number does.  Larger inputs arrive as graph6 streams from
-external generators.
+labels those children with `graphs._min_code` on that partition, keys
+them by the graph6 word of the codes, and builds a class's
+representative (through `graphs._trusted_graph`) from the codes the
+first time its word is seen.  The vanishing sweep, for every n <= 9,
+examines the children without labels or deduplication, for the parents
+whose independence number lets a child reach the threshold, and builds
+a Graph (`_child`) only for those whose own independence number does.
+Larger inputs arrive as graph6 streams from external generators.
 """
 
 from __future__ import annotations
@@ -49,9 +54,13 @@ from .complexes import all_faces, class_membership, independence_complex, neighb
 from .graphs import (
     Graph,
     Graph6Error,
+    _from_columns,
+    _min_code,
+    _pack_graph6,
     _refine_cells,
     _trusted_graph,
     _twin_classes,
+    bits,
     canonical_form,
     empty_graph,
     encode_graph6,
@@ -87,10 +96,20 @@ CHECKPOINT_EVERY = 100_000
 # ---------------------------------------------------------------------------
 # isomorph-free generation
 
+def _extend(adj: tuple[int, ...], nb: int) -> tuple[int, ...]:
+    """adj plus a new last vertex with neighbourhood nb: the new vertex's
+    bit is ORed into the adjacency of nb's vertices only."""
+    child = list(adj)
+    bit = 1 << len(adj)
+    for v in bits(nb):
+        child[v] |= bit
+    child.append(nb)
+    return tuple(child)
+
+
 def _child(parent: Graph, nb: int) -> Graph:
     """parent plus a new last vertex with neighbourhood nb."""
-    adj = tuple(a | (nb >> v & 1) << parent.n for v, a in enumerate(parent.adj))
-    return _trusted_graph(parent.n + 1, adj + (nb,))
+    return _trusted_graph(parent.n + 1, _extend(parent.adj, nb))
 
 
 def _extensions(parent: Graph, trifree: bool) -> Iterator[int]:
@@ -116,15 +135,19 @@ def _extensions(parent: Graph, trifree: bool) -> Iterator[int]:
 def _classes(n: int, trifree: bool) -> tuple[Graph, ...]:
     if n == 0:
         return (empty_graph(0),)
-    # the refinement of the last-cell test is cached and reused by canonical_form
-    keys = set()
+    # word -> representative, built from its codes when the word is first seen
+    reps: dict[str, Graph] = {}
     new = 1 << (n - 1)
     for parent in _classes(n - 1, trifree):
         for nb in _extensions(parent, trifree):
-            child = _child(parent, nb)
-            if _refine_cells(child.adj)[-1] & new:
-                keys.add(canonical_form(child))
-    return tuple(parse_graph6(k) for k in sorted(keys))
+            child = _extend(parent.adj, nb)
+            cells = _refine_cells(child, new)
+            if cells is not None:
+                codes = _min_code(child, cells)
+                word = _pack_graph6(codes)
+                if word not in reps:
+                    reps[word] = _trusted_graph(n, _from_columns(codes))
+    return tuple(reps[word] for word in sorted(reps))
 
 
 def enumerate_graphs(n: int, cls: str = "all") -> list[Graph]:

@@ -5,6 +5,8 @@ import pytest
 from flagbetti.graphs import (
     Graph,
     Graph6Error,
+    _from_columns,
+    _pack_graph6,
     _refine_cells,
     bits,
     canonical_form,
@@ -82,6 +84,15 @@ class TestGraph6:
             word = encode_graph6(g)
             assert word == graph6_encode_oracle(g)
             assert parse_graph6(word) == g
+
+    def test_columns_build_the_graph(self):
+        # canonical_graph and the search's representatives build from
+        # column codes through _from_columns, whose loop parse_graph6 runs inline
+        rng = random.Random(31)
+        for n in [0, 1, 2, 62] + [rng.randint(0, 62) for _ in range(300)]:
+            g = random_graph(rng, n, rng.random())
+            cols = [nb & ((1 << j) - 1) for j, nb in enumerate(g.adj)]
+            assert _from_columns(cols) == parse_graph6(_pack_graph6(cols)).adj == g.adj
 
     def test_parse_errors_name_offset(self):
         with pytest.raises(Graph6Error):
@@ -242,6 +253,16 @@ class TestCanonical:
         for _ in range(2000):
             g = random_graph(rng, rng.randint(0, 10), rng.random())
             assert cell_ranks(g) == refine_colors_oracle(g), encode_graph6(g)
+
+    def test_refinement_stops_once_last_cell_misses_keep(self):
+        # None exactly when the full refinement's last cell misses keep
+        rng = random.Random(37)
+        for _ in range(3000):
+            g = random_graph(rng, rng.randint(1, 10), rng.random())
+            keep = rng.getrandbits(g.n) & rng.getrandbits(g.n)
+            full = _refine_cells(g.adj)
+            got = _refine_cells(g.adj, keep)
+            assert got == (full if full[-1] & keep else None), (encode_graph6(g), keep)
 
     def test_refinement_matches_oracle_where_nothing_splits(self):
         regular = [cycle(n) for n in range(3, 11)] + [crown(s) for s in range(1, 6)]

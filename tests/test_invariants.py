@@ -115,9 +115,8 @@ class TestEnclosure:
         for d, coeffs, lo, hi in one_sign_change:
             enc = bisect_root(coeffs, lo, hi)
             assert (enc.lo, enc.hi) == integer_bisection_oracle(coeffs, lo, hi), coeffs
-            if enc.lo < enc.hi:  # the estimate is the floor, or one step off it
-                off = invariants._root_estimate(coeffs, lo, hi, scale) - enc.lo * scale
-                assert abs(off) <= (0 if d <= 50 else 1), coeffs
+            if enc.lo < enc.hi:  # the estimate is the floor
+                assert invariants._root_estimate(coeffs, lo, hi, scale) == enc.lo * scale, coeffs
         others = [
             ((-336, 688, -467, 105), 1, 2),  # (3x - 4)(5x - 7)(7x - 12): three roots
             ((-(scale + 1), scale), 1, 2),  # the exact root 1 + 2^-120

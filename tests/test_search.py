@@ -14,6 +14,9 @@ from flagbetti.complexes import all_faces, independence_complex
 from flagbetti.graphs import (
     Graph,
     Graph6Error,
+    _min_code,
+    _pack_graph6,
+    _refine_cells,
     canonical_form,
     complete,
     empty_graph,
@@ -129,20 +132,45 @@ class TestEnumeration:
         # labelled, per n: a weaker test stays exact but labels more
         made = Counter()
         monkeypatch.setattr(search, "_classes", lru_cache(maxsize=None)(search._classes.__wrapped__))
-        monkeypatch.setattr(search, "canonical_form", lambda g: made.update([g.n]) or canonical_form(g))
+        monkeypatch.setattr(search, "_min_code",
+                            lambda adj, cells: made.update([len(adj)]) or _min_code(adj, cells))
         search._classes(top, trifree)
         assert [made[n] for n in range(top + 1)] == labels
 
     @pytest.mark.parametrize("trifree, top", [(False, 8), (True, 9)])
     def test_labelled_children_match_oracle_words(self, monkeypatch, trifree, top):
         # every child that _classes labels gets the oracle's word
-        children = []
+        labelled = []
+
+        def label(adj, cells):
+            codes = _min_code(adj, cells)
+            labelled.append((adj, _pack_graph6(codes)))
+            return codes
+
         monkeypatch.setattr(search, "_classes", lru_cache(maxsize=None)(search._classes.__wrapped__))
-        monkeypatch.setattr(search, "canonical_form", lambda g: children.append(g) or canonical_form(g))
+        monkeypatch.setattr(search, "_min_code", label)
         search._classes(top, trifree)
-        assert len(children) == (16_757 if top == 8 else 3_196)
-        for g in children:
-            assert canonical_form(g) == canonical_form_oracle(g), encode_graph6(g)
+        assert len(labelled) == (16_757 if top == 8 else 3_196)
+        for adj, word in labelled:
+            g = Graph(len(adj), adj)
+            assert word == canonical_form(g) == canonical_form_oracle(g), encode_graph6(g)
+
+    @pytest.mark.parametrize("top, trifree", [(7, False), (9, True)])
+    def test_early_exit_refinement_matches_full(self, top, trifree):
+        # _classes refines each child only while the last cell holds the
+        # new vertex: None exactly when the full refinement's last cell
+        # misses it, and the full refinement otherwise
+        outcomes = Counter()
+        for n in range(top + 1):
+            new = 1 << n
+            for parent in search._classes(n, trifree):
+                for nb in search._extensions(parent, trifree):
+                    child = search._extend(parent.adj, nb)
+                    full = _refine_cells(child)
+                    kept = full[-1] & new
+                    assert _refine_cells(child, new) == (full if kept else None), (n, parent, nb)
+                    outcomes[bool(kept)] += 1
+        assert outcomes[False] and outcomes[True]
 
     @pytest.mark.parametrize("n", range(6))
     def test_twin_classes_against_brute_force(self, n):
