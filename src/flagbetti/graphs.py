@@ -366,7 +366,9 @@ def _refine_cells(adj: tuple[int, ...], keep: int = -1) -> tuple[int, ...] | Non
     invariant.  Rounds only split cells, and the last part of the last
     cell is the next round's last cell, so the final last cell lies
     inside each round's; once one misses keep, so does the final one,
-    and the search's canonical-deletion test stops refining there."""
+    and the search's canonical-deletion test stops refining there.
+    Nothing is cached: the search refines each child once, with keep,
+    and labels it on that partition without `canonical_form`."""
     n = len(adj)
     by_degree: dict[int, int] = {}
     for v, a in enumerate(adj):
