@@ -9,13 +9,14 @@ Input is validated where it enters: `Graph(...)` checks range, loops and
 symmetry, and `from_edges` and the generators and combinators below build
 through it; `parse_graph6` checks the word (length, characters and
 header) instead.  It, `induced`, `canonical_graph`, the search's class
-representatives and the vanishing sweep's children (`search._child`)
-build through `_trusted_graph`, which skips `Graph`'s checks, because
-their adjacency is valid by construction: the graph6 decode and
+representatives and the vanishing sweep's children (`search._extend`'s
+adjacency) build through `_trusted_graph`, which skips `Graph`'s checks,
+because their adjacency is valid by construction: the graph6 decode and
 `_from_columns` set adj[i] and adj[j] together, only for i < j < n, and
 a vertex extension ORs the new vertex into its neighbours only.  The
-children of class enumeration are plain adjacency tuples, refined
-(`_refine_cells`) and labelled (`_min_code`) without a Graph.
+children of class enumeration are plain adjacency tuples, labelled
+without a Graph by `_min_code(adj, keep)`, which refines them itself
+(`_refine_cells`).
 """
 
 from __future__ import annotations
@@ -367,8 +368,8 @@ def _refine_cells(adj: tuple[int, ...], keep: int = -1) -> tuple[int, ...] | Non
     cell is the next round's last cell, so the final last cell lies
     inside each round's; once one misses keep, so does the final one,
     and the search's canonical-deletion test stops refining there.
-    Nothing is cached: the search refines each child once, with keep,
-    and labels it on that partition without `canonical_form`."""
+    Nothing is cached: `_min_code(child, keep)` refines each child of
+    the search once and labels it on that partition."""
     n = len(adj)
     by_degree: dict[int, int] = {}
     for v, a in enumerate(adj):
@@ -422,12 +423,15 @@ def _twin_classes(adj: tuple[int, ...], within: int | None = None) -> list[int]:
     return [m for m in groups.values() if m & (m - 1)]
 
 
-def _min_code(adj: tuple[int, ...], cells: tuple[int, ...]) -> list[int]:
+def _min_code(adj: tuple[int, ...], keep: int = -1) -> list[int] | None:
     """Lexicographically least column-code sequence over the vertex
-    orderings that respect the ordered partition cells (positions are
-    filled cell by cell).  Code entry k is the adjacency of the vertex at
-    position k to the vertices before it, as a bitmask: column k of the
-    relabelled graph's graph6 upper triangle.
+    orderings that respect adj's ordered partition from
+    `_refine_cells(adj, keep)` (positions are filled cell by cell), or
+    None when that gives up because its last cell misses keep (by
+    default every vertex, so a code is always returned).  Code entry k
+    is the adjacency of the vertex at position k to the vertices before
+    it, as a bitmask: column k of the relabelled graph's graph6 upper
+    triangle.
 
     A discrete partition allows one ordering, read off directly.
     Otherwise a depth-first search keeps code[v], the adjacency of each
@@ -439,6 +443,9 @@ def _min_code(adj: tuple[int, ...], cells: tuple[int, ...]) -> list[int]:
     cell and, while unplaced, a code; only the lowest-indexed unplaced
     member of a twin class is tried at each position, and twins are
     looked for only inside the cells of two or more vertices."""
+    cells = _refine_cells(adj, keep)
+    if cells is None:
+        return None
     n = len(adj)
     if len(cells) == n:
         pos = [0] * n
@@ -500,7 +507,7 @@ def _canonical_codes(g: Graph) -> list[int]:
     """The column codes of g canonically relabelled (see `canonical_form`)."""
     if g.n > CANONICAL_CAP:
         raise ValueError(f"canonical labelling refused for n={g.n} > cap={CANONICAL_CAP}")
-    return _min_code(g.adj, _refine_cells(g.adj))
+    return _min_code(g.adj)
 
 
 def canonical_form(g: Graph) -> str:

@@ -73,36 +73,32 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: a prime field GF(p) or the exact rationals."""
+    """Coefficient field: the prime field GF(p), or the exact rationals
+    when p is None."""
 
-    variant: str  # "prime" or "rational"
-    p: int | None = None
+    p: int | None
 
     def __post_init__(self):
-        if self.variant == "prime":
-            if not isinstance(self.p, int) or not (2 <= self.p < 2**31) or not _is_prime(self.p):
-                raise ValueError(f"p={self.p} is not a usable prime")
-        elif self.variant != "rational":
-            raise ValueError(f"unknown field variant {self.variant!r}")
-        elif self.p is not None:
-            raise ValueError(f"the rational field takes no p, got p={self.p}")
+        p = self.p
+        if p is not None and not (isinstance(p, int) and 2 <= p < 2**31 and _is_prime(p)):
+            raise ValueError(f"p={p} is not a usable prime")
 
     @classmethod
     def parse(cls, name: str) -> "FieldSpec":
         name = name.strip().lower()
         if name in ("rational", "rationals", "q"):
-            return cls("rational")
+            return cls(None)
         if name.startswith("gf") and name[2:].isascii() and name[2:].isdecimal():
-            return cls("prime", int(name[2:]))
+            return cls(int(name[2:]))
         raise ValueError(f"unknown field {name!r}; use gf<p> or rational")
 
     def __str__(self):
-        return f"gf{self.p}" if self.variant == "prime" else "rational"
+        return "rational" if self.p is None else f"gf{self.p}"
 
 
-GF2 = FieldSpec("prime", 2)
-GF3 = FieldSpec("prime", 3)
-RATIONALS = FieldSpec("rational")
+GF2 = FieldSpec(2)
+GF3 = FieldSpec(3)
+RATIONALS = FieldSpec(None)
 
 
 @dataclass(frozen=True)
@@ -266,8 +262,7 @@ def matrix_rank(m, field: FieldSpec) -> int:
     """Rank over field of m = (lows, build): lows[j] is the lowest row of
     column j, which is not zero, and build(j) returns column j as a
     bitmask; see the module docstring."""
-    p = field.p if field.variant == "prime" else None
-    return _rank_gf2(*m) if p == 2 else _rank_sparse(*m, p)
+    return _rank_gf2(*m) if field.p == 2 else _rank_sparse(*m, field.p)
 
 
 # ---------------------------------------------------------------------------

@@ -344,7 +344,7 @@ def solve_constants(d_max: int = 10) -> Constants:
 
     # theta_d <= theta_4 is equivalent to the integer inequality d^5 <= 4^(d+1)
     theta_max = all(d**5 <= 4 ** (d + 1) for d in range(1, d_max + 1))
-    gamma = gamma_d.get(3, gamma_enclosure(3))
+    gamma = gamma_enclosure(3)
     gamma_max = all(
         d == 3 or gamma_d[d].certainly_at_most(gamma) for d in range(1, d_max + 1)
     )
@@ -355,16 +355,14 @@ def solve_constants(d_max: int = 10) -> Constants:
         mid = e.midpoint()
         return abs(float(sum(mid ** -(d + 1 + i) for i in range(d)) - 1))
 
-    theta = theta_d.get(4, theta_enclosure(4))
+    theta = theta_enclosure(4)
     residuals = {
         "theta": abs(float(theta.midpoint() ** 5 - 4)),
         "gamma": residual_gamma(gamma, 3),
-        "theta_small_2": abs(
-            float(theta_small_d[2].midpoint() ** 2 - theta_small_d[2].midpoint() - 1)
-        )
-        if d_max >= 2
-        else 0.0,
     }
+    if d_max >= 2:
+        mid = theta_small_d[2].midpoint()
+        residuals["theta_small_2"] = abs(float(mid**2 - mid - 1))
     return Constants(
         theta_d=theta_d,
         theta=theta,

@@ -14,31 +14,32 @@ built:
 
 A child is an adjacency tuple (`_extend`), not a Graph.  One that passes
 both filters is labelled only if its new vertex lies in the last cell of
-the ordered partition that `canonical_form` refines it to
-(`graphs._refine_cells`, which gives up as soon as a round's last cell
-misses the new vertex).  This is the canonical-deletion test of McKay's
-canonical augmentation (J. Algorithms 1998).  The partition does not
-depend on the labelling and its last cell is never empty, so every
-n-vertex graph G has a vertex w in that cell, G - w is isomorphic to
-some (n-1)-vertex representative P, and G appears among P's children
-with the new vertex playing w.  The cells start as the degree classes in
-ascending order, so the degree filter only skips, before any child is
-built, children that the last-cell test would refuse.  The twin filter
-holds because any permutation within a twin class is an automorphism of
-P: it maps a child to an isomorphic child, fixing the new vertex, and
-each child can be mapped so that its neighbours in every class come
-lowest.
+the ordered partition that `canonical_form` refines it to.  One call,
+`graphs._min_code(child, keep)` with keep the new vertex, makes both the
+test and the label: its refinement (`graphs._refine_cells`) gives up,
+and it returns None, as soon as a round's last cell misses keep.  This
+is the canonical-deletion test of McKay's canonical augmentation (J.
+Algorithms 1998).  The partition does not depend on the labelling and
+its last cell is never empty, so every n-vertex graph G has a vertex w
+in that cell, G - w is isomorphic to some (n-1)-vertex representative
+P, and G appears among P's children with the new vertex playing w.  The
+cells start as the degree classes in ascending order, so the degree
+filter only skips, before any child is built, children that the
+last-cell test would refuse.  The twin filter holds because any
+permutation within a twin class is an automorphism of P: it maps a
+child to an isomorphic child, fixing the new vertex, and each child can
+be mapped so that its neighbours in every class come lowest.
 
 `_extensions` yields the neighbourhoods that pass both filters, so every
-n-vertex class is among the children it yields.  Class enumeration
-labels those children with `graphs._min_code` on that partition, keys
-them by the graph6 word of the codes, and builds a class's
-representative (through `graphs._trusted_graph`) from the codes the
-first time its word is seen.  The vanishing sweep, for every n <= 9,
-examines the children without labels or deduplication, for the parents
-whose independence number lets a child reach the threshold, and builds
-a Graph (`_child`) only for those whose own independence number does.
-Larger inputs arrive as graph6 streams from external generators.
+n-vertex class is among the children it yields.  Class enumeration keys
+the children that `graphs._min_code` labels by the graph6 word of the
+codes, and builds a class's representative (through
+`graphs._trusted_graph`) from the codes the first time its word is
+seen.  The vanishing sweep, for every n <= 9, examines the children
+without labels or deduplication, for the parents whose independence
+number lets a child reach the threshold, and builds a Graph (through
+`graphs._trusted_graph`) only for those whose own independence number
+does.  Larger inputs arrive as graph6 streams from external generators.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .graphs import (
     _from_columns,
     _min_code,
     _pack_graph6,
-    _refine_cells,
     _trusted_graph,
     _twin_classes,
     bits,
@@ -107,11 +107,6 @@ def _extend(adj: tuple[int, ...], nb: int) -> tuple[int, ...]:
     return tuple(child)
 
 
-def _child(parent: Graph, nb: int) -> Graph:
-    """parent plus a new last vertex with neighbourhood nb."""
-    return _trusted_graph(parent.n + 1, _extend(parent.adj, nb))
-
-
 def _extensions(parent: Graph, trifree: bool) -> Iterator[int]:
     """The neighbourhoods of a new vertex that pass the degree and twin
     filters (see the module docstring); for trifree, only the parent's
@@ -140,10 +135,8 @@ def _classes(n: int, trifree: bool) -> tuple[Graph, ...]:
     new = 1 << (n - 1)
     for parent in _classes(n - 1, trifree):
         for nb in _extensions(parent, trifree):
-            child = _extend(parent.adj, nb)
-            cells = _refine_cells(child, new)
-            if cells is not None:
-                codes = _min_code(child, cells)
+            codes = _min_code(_extend(parent.adj, nb), new)
+            if codes is not None:
                 word = _pack_graph6(codes)
                 if word not in reps:
                     reps[word] = _trusted_graph(n, _from_columns(codes))
@@ -531,7 +524,7 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
             if max(top, 1 + alpha(full & ~nb)) < min_alpha:
                 continue
             computed += 1
-            g = _child(parent, nb)
+            g = _trusted_graph(n, _extend(parent.adj, nb))
             bv = betti_graph(g, fieldspec)
             bad = [(d, b) for d, b in bv.by_degree if d >= min_degree and b > 0]
             if bad:

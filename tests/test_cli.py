@@ -272,6 +272,19 @@ class TestVerify:
         out = json.loads(res.output)
         assert out["all_pass"]
 
+    def test_all_suites_pass_every_entry(self, runner):
+        res = invoke(runner, ["verify", "--suite", "all"])
+        assert res.exit_code == 0
+        out = json.loads(res.output)
+        assert out["all_pass"] is out["table1"]["all_pass"] is out["lemmas"]["all_pass"] is True
+        counts = {"table1": {"constructions": 5, "upper_bounds": 5},
+                  "lemmas": {"golden": 36, "closed_forms": 11}}
+        for section, keys in counts.items():
+            for key, count in keys.items():
+                entries = out[section][key]
+                assert len(entries) == count, (section, key)
+                assert all(e["pass"] is True for e in entries), (section, key)
+
 
 class TestSearch:
     def test_internal_generator(self, runner):

@@ -6,6 +6,7 @@ from flagbetti.graphs import (
     Graph,
     Graph6Error,
     _from_columns,
+    _min_code,
     _pack_graph6,
     _refine_cells,
     bits,
@@ -255,7 +256,8 @@ class TestCanonical:
             assert cell_ranks(g) == refine_colors_oracle(g), encode_graph6(g)
 
     def test_refinement_stops_once_last_cell_misses_keep(self):
-        # None exactly when the full refinement's last cell misses keep
+        # None exactly when the full refinement's last cell misses keep;
+        # _min_code gives up with it and otherwise labels as without keep
         rng = random.Random(37)
         for _ in range(3000):
             g = random_graph(rng, rng.randint(1, 10), rng.random())
@@ -263,6 +265,8 @@ class TestCanonical:
             full = _refine_cells(g.adj)
             got = _refine_cells(g.adj, keep)
             assert got == (full if full[-1] & keep else None), (encode_graph6(g), keep)
+            codes = _min_code(g.adj, keep)
+            assert codes == (None if got is None else _min_code(g.adj)), (encode_graph6(g), keep)
 
     def test_refinement_matches_oracle_where_nothing_splits(self):
         regular = [cycle(n) for n in range(3, 11)] + [crown(s) for s in range(1, 6)]

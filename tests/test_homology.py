@@ -51,7 +51,7 @@ from oracles import (
 FIELDS = (GF2, GF3, RATIONALS)
 # (field, the oracle's p) for the sparse GF(p)/Q rank routine
 ODD_FIELDS = (
-    (GF3, 3), (FieldSpec("prime", 7), 7), (FieldSpec("prime", 2**31 - 1), 2**31 - 1), (RATIONALS, None)
+    (GF3, 3), (FieldSpec(7), 7), (FieldSpec(2**31 - 1), 2**31 - 1), (RATIONALS, None)
 )
 
 # minimal 6-vertex triangulation of RP^2: its 2-torsion makes GF(2) differ
@@ -68,7 +68,7 @@ RP2 = from_facets(
 class TestFieldSpec:
     def test_parse(self):
         assert FieldSpec.parse("gf2") == GF2
-        assert FieldSpec.parse("GF7") == FieldSpec("prime", 7)
+        assert FieldSpec.parse("GF7") == FieldSpec(7)
         assert FieldSpec.parse("rational") == RATIONALS
         assert FieldSpec.parse("q") == RATIONALS
         with pytest.raises(ValueError):
@@ -82,18 +82,14 @@ class TestFieldSpec:
             with pytest.raises(ValueError, match="unknown field"):
                 FieldSpec.parse(name)
 
-    def test_rational_refuses_p(self):
-        with pytest.raises(ValueError, match="takes no p"):
-            FieldSpec("rational", 5)
-        with pytest.raises(ValueError, match="takes no p"):
-            FieldSpec("rational", 0)
-        assert FieldSpec("rational", None) == RATIONALS
+    def test_none_is_the_rationals(self):
+        assert FieldSpec(None) == RATIONALS
 
     def test_prime_refuses_a_non_integer_p(self):
         # 3.0 == 3, so it would compare equal to GF3 and fail inside the rank
-        for p in (3.0, None, "3"):
+        for p in (3.0, "3"):
             with pytest.raises(ValueError, match="usable prime"):
-                FieldSpec("prime", p)
+                FieldSpec(p)
 
     def test_str(self):
         assert str(GF3) == "gf3"

@@ -220,6 +220,11 @@ class TestConstants:
         assert j["theta"].startswith("1.319507910")
         assert j["gamma"].startswith("1.249851588")
 
+    def test_theta_small_2_residual_only_once_solved(self):
+        # theta_small_d[2] is solved only from d_max = 2 on
+        assert "theta_small_2" not in solve_constants(1).residuals
+        assert "theta_small_2" in solve_constants(2).residuals
+
     def test_maximality_sweep_d50(self):
         c = solve_constants(50)
         theta = c.theta

@@ -131,9 +131,15 @@ class TestEnumeration:
         # how many children pass the filters and the last-cell test and get
         # labelled, per n: a weaker test stays exact but labels more
         made = Counter()
+
+        def label(adj, keep):
+            codes = _min_code(adj, keep)
+            if codes is not None:
+                made[len(adj)] += 1
+            return codes
+
         monkeypatch.setattr(search, "_classes", lru_cache(maxsize=None)(search._classes.__wrapped__))
-        monkeypatch.setattr(search, "_min_code",
-                            lambda adj, cells: made.update([len(adj)]) or _min_code(adj, cells))
+        monkeypatch.setattr(search, "_min_code", label)
         search._classes(top, trifree)
         assert [made[n] for n in range(top + 1)] == labels
 
@@ -142,9 +148,10 @@ class TestEnumeration:
         # every child that _classes labels gets the oracle's word
         labelled = []
 
-        def label(adj, cells):
-            codes = _min_code(adj, cells)
-            labelled.append((adj, _pack_graph6(codes)))
+        def label(adj, keep):
+            codes = _min_code(adj, keep)
+            if codes is not None:
+                labelled.append((adj, _pack_graph6(codes)))
             return codes
 
         monkeypatch.setattr(search, "_classes", lru_cache(maxsize=None)(search._classes.__wrapped__))
@@ -196,17 +203,18 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("trifree", [False, True])
     def test_children_pass_checked_constructor(self, trifree):
-        # _child builds without Graph's validation, so each child, over
-        # every neighbourhood _extensions may yield, must be a graph that
+        # the search builds children through _trusted_graph(_extend(...)),
+        # without Graph's validation, so each child, over every
+        # neighbourhood _extensions may yield, must be an adjacency that
         # the validating constructor accepts unchanged
         rng = random.Random(5)
         for _ in range(40):
             parent = random_graph(rng, rng.randint(0, 7), rng.random() / (3 if trifree else 1))
             nbs = all_faces(independence_complex(parent)) if trifree else range(1 << parent.n)
             for nb in nbs:
-                child = search._child(parent, nb)
-                assert Graph(child.n, child.adj) == child
-                assert tuple(a & parent.vertex_mask for a in child.adj[:-1]) == parent.adj
+                child = search._extend(parent.adj, nb)
+                assert Graph(parent.n + 1, child).adj == child
+                assert tuple(a & parent.vertex_mask for a in child[:-1]) == parent.adj
 
     @pytest.mark.parametrize("cls", ["all", "triangle_free"])
     @pytest.mark.parametrize("n", range(6))
