@@ -373,20 +373,22 @@ def write_facet_file(k: Complex) -> str:
 
 
 def read_facet_file(text: str) -> Complex:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
+    # the non-blank lines, each with its line number in the file
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("n "):
         raise ValueError("facet file must start with 'n <count>'")
     try:
-        n = int(lines[0][2:])
+        n = int(lines[0][1][2:])
     except ValueError:
         raise ValueError("bad vertex count in facet file header") from None
     body = lines[1:]
-    if body == ["void"]:
+    rest = [ln for _, ln in body]
+    if rest == ["void"]:
         return Complex(n, ())
-    if body == ["empty"]:
+    if rest == ["empty"]:
         return Complex(n, (0,))
     facets = []
-    for i, ln in enumerate(body, start=2):
+    for i, ln in body:
         mask, in_range = 0, True  # the line's vertex set, built token by token
         for tok in ln.split():
             try:

@@ -2,7 +2,9 @@
 
 `betti_graph` works out the reduced homology of Ind(G[w]) for the vertex
 subsets w it reaches, once per call each, starting from the whole vertex
-set, by five exact steps that keep the reduced homology over every field:
+set, through `_Vectors(g, field)`, the vector of G[w] as a function of w
+memoised for one graph.  Five exact steps keep the reduced homology over
+every field:
 
 - an isolated vertex makes Ind(G) a cone over the rest, which is
   contractible, so every reduced Betti number is 0;
@@ -16,11 +18,12 @@ set, by five exact steps that keep the reduced homology over every field:
   leaf lies only in such a component, so this is the leaf lemma,
   Ind(G) ~ susp Ind(G - u - v) for an edge {u, v} (Adamaszek, JCTA 2012);
 - the paper's deletion sequence Ind(G) = Ind(G - v) u v * Ind(G - N[v])
-  at a vertex v of greatest degree (`_deletion_step`).  The vector of G
-  is that of G - v plus that of G - N[v] one degree up whenever the
-  inclusion of Ind(G - N[v]) into Ind(G - v) is zero in homology, and two
-  conditions prove it is: the two vectors have disjoint supports, or some
-  neighbour of v is dominated by v.
+  at a vertex v (`_step_at`), which `_deletion_step` takes at a vertex of
+  greatest degree.  The vector of G is that of G - v plus that of
+  G - N[v] one degree up whenever the inclusion of Ind(G - N[v]) into
+  Ind(G - v) is zero in homology, and two conditions prove it is: the
+  two vectors have disjoint supports, or some neighbour of v is dominated
+  by v.
 
 Homology runs only on complete components K_m with m >= 3, whose Ind is
 m points, and on the connected, fold-irreducible components where both
@@ -30,7 +33,9 @@ are tested against.
 
 `hochster_beta` takes the same `_deletion_step` over one table of Betti
 vectors, one per vertex subset in ascending order.  Only the subsets
-where both conditions fail reach `betti_graph`.
+where both conditions fail reach `betti_graph`.  The class search
+(`search._child_vector`) takes `_step_at` the new vertex of a child
+P + w, reading b(P) and b(P - N(w)) from the parent's `_Vectors`.
 
 All bound comparisons pit an exact integer against a rational interval
 enclosing the (usually irrational) right-hand side, so a reported
@@ -408,29 +413,43 @@ def _fold(adj: tuple[int, ...], live: int) -> int | None:
 
 
 def betti_graph(g: Graph, field: FieldSpec = GF2) -> BettiVector:
-    """Reduced Betti numbers of the independence complex of g.
+    """Reduced Betti numbers of the independence complex of g, from
+    `_Vectors(g, field)` at the whole vertex set.  The graph with no
+    vertices gives b_-1 = 1 (the empty complex)."""
+    return BettiVector(_Vectors(g, field)(g.vertex_mask), field)
 
-    The vector of each vertex subset w is worked out once per call and
-    kept in a dict, starting from the whole vertex set, and every step
-    keeps the reduced homology.  G[w] is folded first: a vertex with no
-    neighbour makes Ind a cone (all zeros), and N(u) inside N(v) for
-    u != v lets v go (the fold lemma, Ind(G) ~ Ind(G - v)).  The connected
-    components that are left give Ind as the join of their independence
-    complexes, whose Betti numbers over a field are the parts' convolved,
-    b_k = sum of a_i * b_j over i + j + 1 = k.  An edge component is S^0,
-    so it shifts every degree up by one.  A complete component on m >= 3
-    vertices, whose Ind is m points, goes to `betti`.  Any other component
-    C is settled by `_deletion_step` from the vectors of C - v and
-    C - N[v], two smaller subsets, and only when its two conditions fail
-    does Ind(C) reach `betti`.  The graph with no vertices gives b_-1 = 1
-    (the empty complex)."""
-    adj = g.adj
-    memo: dict[int, tuple] = {}
 
-    def vector(w: int) -> tuple:
+class _Vectors:
+    """The by_degree vector of Ind(G[w]) as a function of the vertex
+    subset w, memoised by mask for this one graph.
+
+    Every step keeps the reduced homology.  G[w] is folded first: a vertex
+    with no neighbour makes Ind a cone (all zeros), and N(u) inside N(v)
+    for u != v lets v go (the fold lemma, Ind(G) ~ Ind(G - v)).  The
+    connected components that are left give Ind as the join of their
+    independence complexes, whose Betti numbers over a field are the
+    parts' convolved, b_k = sum of a_i * b_j over i + j + 1 = k.  An edge
+    component is S^0, so it shifts every degree up by one.  A complete
+    component on m >= 3 vertices, whose Ind is m points, goes to `betti`.
+    Any other component C is settled by `_deletion_step` from the vectors
+    of C - v and C - N[v], two smaller subsets, and only when its two
+    conditions fail does Ind(C) reach `betti`.  The empty subset gives
+    ((-1, 1),), the empty complex.  An object rather than a closure that
+    calls itself, so that it holds no reference cycle, and its memo is
+    freed as soon as the last reference to it goes."""
+
+    __slots__ = ("g", "field", "memo")
+
+    def __init__(self, g: Graph, field: FieldSpec):
+        self.g, self.field = g, field
+        self.memo: dict[int, tuple] = {}
+
+    def __call__(self, w: int) -> tuple:
+        memo = self.memo
         vec = memo.get(w)
         if vec is not None:
             return vec
+        adj = self.g.adj
         live = _fold(adj, w)
         # a cone (None) is acyclic; else start from the empty complex, the unit of the join
         total = {} if live is None else {-1: 1}
@@ -444,9 +463,9 @@ def betti_graph(g: Graph, field: FieldSpec = GF2) -> BettiVector:
             if part is None:
                 # K_m (m >= 3), whose Ind is m points, stays on betti
                 if any(adj[v] & comp != comp & ~(1 << v) for v in bits(comp)):
-                    part = _deletion_step(adj, comp, vector)
+                    part = _deletion_step(adj, comp, self)
                 if part is None:
-                    part = betti(independence_complex(induced(g, comp)), field).by_degree
+                    part = betti(independence_complex(induced(self.g, comp)), self.field).by_degree
                 memo[comp] = part
             joined: dict[int, int] = {}
             for j, b in part:
@@ -455,8 +474,6 @@ def betti_graph(g: Graph, field: FieldSpec = GF2) -> BettiVector:
             total = joined  # an acyclic part makes the whole join acyclic
         memo[w] = vec = tuple(sorted(total.items()))
         return vec
-
-    return BettiVector(vector(g.vertex_mask), field)
 
 
 @dataclass(frozen=True)
@@ -503,19 +520,12 @@ def _dominated(adj: tuple[int, ...], w: int, v: int) -> bool:
 
 
 def _deletion_step(adj: tuple[int, ...], w: int, vector) -> tuple | None:
-    """The by_degree vector of Ind(G[w]) by the deletion sequence at v, a
-    vertex of greatest degree in G[w] (the lowest on ties), or None when
-    it cannot be settled there.
-
-    Ind(G[w]) is Ind(G[w] - v) with the cone v * Ind(G[w] - N[v]) glued
-    on; vector(mask) gives the vectors of those two smaller subsets.  When
-    v has no neighbour, Ind(G[w]) is a cone and the vector is zero.  When
-    the two vectors have disjoint supports, or some neighbour of v is
-    dominated by v, the inclusion Ind(G[w] - N[v]) -> Ind(G[w] - v) is zero
-    in homology over every field, and the long exact sequence gives the
-    first vector plus the second one degree up.  None means both
-    conditions fail."""
-    v, top, rest = -1, 0, w
+    """The by_degree vector of Ind(G[w]) by `_step_at` a vertex of
+    greatest degree in G[w] (the lowest on ties), or None when both of the
+    step's conditions fail there.  This picks the vertex and nothing else:
+    `betti_graph`'s memo and `hochster_beta`'s table call it, and the class
+    search calls `_step_at` the new vertex of a child directly."""
+    v, top, rest = -1, -1, w
     while rest:
         low = rest & -rest
         rest ^= low
@@ -523,9 +533,27 @@ def _deletion_step(adj: tuple[int, ...], w: int, vector) -> tuple | None:
         deg = (adj[u] & w).bit_count()
         if deg > top:
             v, top = u, deg
-    if not top:
+    return _step_at(adj, w, v, vector)
+
+
+def _step_at(adj: tuple[int, ...], w: int, v: int, vector) -> tuple | None:
+    """The by_degree vector of Ind(G[w]) by the deletion sequence at the
+    vertex v of w, or None when it cannot be settled there.
+
+    Ind(G[w]) is Ind(G[w] - v) with the cone v * Ind(G[w] - N[v]) glued
+    on; vector(mask) gives the vectors of those two smaller subsets, so it
+    is asked only for subsets of w - v, and may belong to any graph that
+    agrees with adj there.  When v has no neighbour in w, Ind(G[w]) is a
+    cone and the vector is zero.  When the two vectors have disjoint
+    supports, or some neighbour of v is dominated by v, the inclusion
+    Ind(G[w] - N[v]) -> Ind(G[w] - v) is zero in homology over every
+    field, and the long exact sequence gives the first vector plus the
+    second one degree up.  None means both conditions fail."""
+    nv = adj[v] & w
+    if not nv:
         return ()
-    a, b = vector(w & ~(1 << v)), vector(w & ~adj[v] & ~(1 << v))
+    rest = w & ~(1 << v)
+    a, b = vector(rest), vector(rest & ~nv)
     if _disjoint_supports(a, b) or _dominated(adj, w, v):
         return _splice(a, b)
     return None

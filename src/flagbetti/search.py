@@ -35,11 +35,28 @@ n-vertex class is among the children it yields.  Class enumeration keys
 the children that `graphs._min_code` labels by the graph6 word of the
 codes, and builds a class's representative (through
 `graphs._trusted_graph`) from the codes the first time its word is
-seen.  The vanishing sweep, for every n <= 9, examines the children
-without labels or deduplication, for the parents whose independence
-number lets a child reach the threshold, and builds a Graph (through
-`graphs._trusted_graph`) only for those whose own independence number
-does.  Larger inputs arrive as graph6 streams from external generators.
+seen.  It keeps that child's origin, the index of its parent and its
+neighbourhood nb, with the class.
+
+The paper's deletion inequality b(G) <= b(G - w) + b(G - N[w]) holds
+with equality, degree by degree, when the inclusion of Ind(G - N[w])
+into Ind(G - w) is zero in homology.  For a child G = P + w, G - w is
+the parent P and G - N[w] is P - nb, so `_child_vector` reads both
+vectors from the parent's memoised `invariants._Vectors` and applies
+the deletion step at the new vertex (`invariants._step_at`), with the
+same two conditions that `betti_graph` uses.  Only a child where both
+fail goes to `betti_graph`.  `maximize("b", n=...)` takes every class's
+b this way, from its origin, keeping each parent's vectors until its
+last child is done; the vanishing sweep does the same for each child it
+computes.
+
+The vanishing sweep, for every n <= 9, examines the children without
+labels or deduplication, for the parents whose independence number lets
+a child reach the threshold, and computes the vector only of those whose
+own independence number does; it builds a Graph (through
+`graphs._trusted_graph`) only for a violation.  Larger inputs arrive as
+graph6 streams from external generators, and their b comes from
+`b_graph`.
 """
 
 from __future__ import annotations
@@ -47,6 +64,8 @@ from __future__ import annotations
 import json
 import os
 import time
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -70,6 +89,8 @@ from .graphs import (
 from .homology import GF2, FieldSpec, total_betti
 from .invariants import (
     Enclosure,
+    _step_at,
+    _Vectors,
     b_graph,
     betti_graph,
     conjecture_power,
@@ -127,20 +148,41 @@ def _extensions(parent: Graph, trifree: bool) -> Iterator[int]:
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int, trifree: bool) -> tuple[Graph, ...]:
+def _classes(n: int, trifree: bool) -> tuple[tuple[Graph, ...], array]:
+    """The n-vertex class representatives, sorted by word, and the origin
+    of each: parent_index << (n - 1) | nb, for the first child that gave
+    its word, the parent _classes(n - 1, trifree)[0][parent_index] with a
+    new vertex of neighbourhood nb.  The one 0-vertex class has none."""
     if n == 0:
-        return (empty_graph(0),)
-    # word -> representative, built from its codes when the word is first seen
+        return (empty_graph(0),), array("l")
+    # word -> representative, built from its codes when the word is first
+    # seen, and the origins in the same order: an array beside the dict, as
+    # a (graph, origin) tuple per word raised the peak memory of n = 8 by 1 MB
     reps: dict[str, Graph] = {}
+    origins = array("l")
     new = 1 << (n - 1)
-    for parent in _classes(n - 1, trifree):
+    for index, parent in enumerate(_classes(n - 1, trifree)[0]):
         for nb in _extensions(parent, trifree):
             codes = _min_code(_extend(parent.adj, nb), new)
             if codes is not None:
                 word = _pack_graph6(codes)
                 if word not in reps:
                     reps[word] = _trusted_graph(n, _from_columns(codes))
-    return tuple(reps[word] for word in sorted(reps))
+                    origins.append(index << (n - 1) | nb)
+    words = list(reps)
+    order = sorted(range(len(words)), key=words.__getitem__)
+    return tuple(reps[words[i]] for i in order), array("l", (origins[i] for i in order))
+
+
+class _Classes(list):
+    """The representatives that `enumerate_graphs` returns, with the
+    origin (see `_classes`) of the i-th in origins[i], from which
+    `maximize` reads each class's b.  Any other list of graphs carries no
+    origins, and its b comes from `b_graph`."""
+
+    def __init__(self, graphs: Iterable[Graph], origins: array):
+        super().__init__(graphs)
+        self.origins = origins
 
 
 def enumerate_graphs(n: int, cls: str = "all") -> list[Graph]:
@@ -157,10 +199,25 @@ def enumerate_graphs(n: int, cls: str = "all") -> list[Graph]:
             "pipe graph6 lines from an external generator instead"
         )
     # every bipartite graph is triangle-free
-    base = _classes(n, cls in ("triangle_free", "bipartite"))
+    reps, origins = _classes(n, cls in ("triangle_free", "bipartite"))
     if cls in ("all", "triangle_free"):
-        return list(base)
-    return [g for g in base if graph_predicates(g)[f"is_{cls}"]]
+        return _Classes(reps, origins)
+    keep = [i for i, g in enumerate(reps) if graph_predicates(g)[f"is_{cls}"]]
+    # the 0-vertex class has no origin
+    return _Classes((reps[i] for i in keep), array("l", (origins[i] for i in keep)) if n else origins)
+
+
+def _child_vector(vector_P, parent: Graph, nb: int, field: FieldSpec) -> tuple:
+    """The by_degree vector of parent plus a new vertex with neighbourhood
+    nb, by the deletion step at the new vertex (`invariants._step_at`)
+    from the parent's vectors, vector_P = `_Vectors(parent, field)`: it
+    reads the parent's and that of parent - nb.  Only when both of the
+    step's conditions fail is the child handed to `betti_graph`."""
+    child = _extend(parent.adj, nb)
+    vec = _step_at(child, (1 << len(child)) - 1, parent.n, vector_P)
+    if vec is None:
+        vec = betti_graph(_trusted_graph(parent.n + 1, child), field).by_degree
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +319,9 @@ def maximize(
     report saved there and skip the input graphs it has examined, counting
     the unread lines among them again.  An input that ends before them, whose
     skipped graphs do not give the saved digest, or that has more unread
-    lines among them than the report saved, is refused."""
+    lines among them than the report saved, is refused.  For b over the
+    internal generator, each class's value comes from its parent's
+    vectors (`_parent_b`); for given graphs, from `b_graph`."""
     if graph_class not in GENERATOR_CAPS:
         raise ValueError(f"unknown class {graph_class!r}; choose from {sorted(GENERATOR_CAPS)}")
     if resume and not checkpoint_path:
@@ -275,6 +334,9 @@ def maximize(
         graphs = enumerate_graphs(n, graph_class)
     fn = _metric_fn(metric, fieldspec)
     trifree = graph_class in ("triangle_free", "bipartite")
+    from_parents = None
+    if metric == "b" and n and isinstance(graphs, _Classes):
+        from_parents = _parent_b(n, trifree, graphs.origins, fieldspec)
     report = SearchReport(metric=metric, graph_class=graph_class, n=n or 0)
     field = str(fieldspec)
     seen_sizes: set[int] = set()
@@ -312,7 +374,8 @@ def maximize(
             continue
         if check_class and not graph_predicates(g)[f"is_{graph_class}"]:
             raise ValueError(f"graph {encode_graph6(g)} is not in class {graph_class!r}")
-        value = fn(g)
+        # generated graphs hold no None, so graphs_examined is g's index
+        value = fn(g) if from_parents is None else from_parents(report.graphs_examined)
         seen_sizes.add(g.n)
         report.graphs_examined += 1
         if digest is not None:
@@ -341,6 +404,29 @@ def maximize(
     if checkpoint_path:
         _write_checkpoint(checkpoint_path, report, field, seen_sizes, digest)
     return report
+
+
+def _parent_b(n: int, trifree: bool, origins: array, field: FieldSpec):
+    """b of the n-vertex class whose origin is origins[i], as a function of
+    i, by `_child_vector` from its parent's vectors.  Each parent's
+    `_Vectors` is built for its first child asked for, kept for the
+    others, and dropped after the last, so that its memo is freed."""
+    parents = _classes(n - 1, trifree)[0]
+    low = (1 << (n - 1)) - 1
+    left = Counter(origin >> (n - 1) for origin in origins)  # children not yet asked for
+    vectors: dict[int, object] = {}
+
+    def b(i: int) -> int:
+        index = origins[i] >> (n - 1)
+        vector_P = vectors.get(index)
+        if vector_P is None:
+            vector_P = vectors[index] = _Vectors(parents[index], field)
+        left[index] -= 1
+        if not left[index]:
+            del vectors[index]
+        return sum(x for _, x in _child_vector(vector_P, parents[index], origins[i] & low, field))
+
+    return b
 
 
 def _absorb(digest, g: Graph) -> None:
@@ -495,8 +581,9 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     (n-1)-vertex representatives; they reach every n-vertex class, and
     repeats are harmless for a universally quantified check.  Homology in
     degree i needs an independent set of i+1 vertices, so only children
-    whose independence number clears the threshold are built and
-    computed.  A child whose new vertex has neighbourhood nb has
+    whose independence number clears the threshold are computed, each by
+    `_child_vector` from its parent's `_Vectors`, which is built for the
+    parent's first computed child.  A child whose new vertex has neighbourhood nb has
     alpha = max(alpha(P), 1 + alpha(P - nb)), at most the parent's plus
     one, so a parent P whose alpha is below the threshold minus one is
     skipped; one `_alpha` per parent answers for P and its children.
@@ -513,22 +600,25 @@ def flag_vanishing_sweep(n: int, fieldspec: FieldSpec = GF2) -> dict:
     examined = int(n == 0)
     computed = 0
     violations = []
-    for parent in _classes(n - 1, False) if n else ():
+    for parent in _classes(n - 1, False)[0] if n else ():
         full = parent.vertex_mask
         alpha = _alpha(parent.adj)
         top = alpha(full)
         if top + 1 < min_alpha:
             continue
+        vector_P = None  # the parent's vectors, once one of its children is computed
         for nb in _extensions(parent, False):
             examined += 1
             if max(top, 1 + alpha(full & ~nb)) < min_alpha:
                 continue
             computed += 1
-            g = _trusted_graph(n, _extend(parent.adj, nb))
-            bv = betti_graph(g, fieldspec)
-            bad = [(d, b) for d, b in bv.by_degree if d >= min_degree and b > 0]
+            if vector_P is None:
+                vector_P = _Vectors(parent, fieldspec)
+            vec = _child_vector(vector_P, parent, nb, fieldspec)
+            bad = [(d, b) for d, b in vec if d >= min_degree and b > 0]
             if bad:
-                violations.append({"graph6": encode_graph6(g), "degrees": bad})
+                g6 = encode_graph6(_trusted_graph(n, _extend(parent.adj, nb)))
+                violations.append({"graph6": g6, "degrees": bad})
     return {
         "n": n,
         "threshold": n / 2 - 1,

@@ -11,7 +11,7 @@ from flagbetti.constructions import fano_complex
 from flagbetti.graphs import canonical_form, cycle, empty_graph, encode_graph6, parse_graph6
 from flagbetti.invariants import Enclosure
 from flagbetti.search import enumerate_graphs
-from conftest import planted_b_graph
+from conftest import planted_b_graph, planted_child_vector
 
 
 @pytest.fixture
@@ -342,7 +342,7 @@ class TestSearch:
 
     def test_planted_violation_is_math_failure(self, runner, monkeypatch):
         planted = canonical_form(empty_graph(4))
-        monkeypatch.setattr(search, "b_graph", planted_b_graph(planted))
+        monkeypatch.setattr(search, "_child_vector", planted_child_vector(planted))
         res = invoke(runner, ["search", "--n", "4"])
         assert res.exit_code == 1
         out = json.loads(res.stdout)

@@ -388,5 +388,10 @@ class TestFacetFiles:
             read_facet_file("n 3\n0 x\n")
         with pytest.raises(ValueError, match="out of range"):
             read_facet_file("n 2\n0 5\n")
+        # blank lines count: the line number is the file's
+        with pytest.raises(ValueError, match="bad facet on line 5$"):
+            read_facet_file("n 3\n\n\n0 1\nx\n")
+        with pytest.raises(ValueError, match="vertex out of range on line 4$"):
+            read_facet_file("\nn 2\n\n0 5\n")
         with pytest.raises(ValueError, match="no facets"):
             read_facet_file("n 2\n")

@@ -23,8 +23,8 @@ from flagbetti.graphs import (
     encode_graph6,
     parse_graph6,
 )
-from flagbetti.homology import GF3, BettiVector
-from flagbetti.invariants import b_graph, betti_graph, conjecture_power
+from flagbetti.homology import GF2, GF3, RATIONALS
+from flagbetti.invariants import _Vectors, b_graph, betti_graph, conjecture_power
 from flagbetti.search import (
     GENERATOR_CAPS,
     conjecture_checks,
@@ -34,7 +34,7 @@ from flagbetti.search import (
     moon_moser_check,
     stream_graph6,
 )
-from conftest import planted_b_graph, random_graph
+from conftest import planted_child_vector, random_graph
 from oracles import (
     all_labelled_graphs,
     are_isomorphic_oracle,
@@ -121,7 +121,7 @@ class TestEnumeration:
     def test_degree_filter_matches_unfiltered_oracle(self, n, trifree):
         # _classes labels only the children that pass its degree and twin
         # filters and its last-cell test; the oracle labels every child
-        assert search._classes(n, trifree) == classes_oracle(n, trifree)
+        assert search._classes(n, trifree)[0] == classes_oracle(n, trifree)
 
     @pytest.mark.parametrize("trifree, top, labels", [
         (False, 7, [0, 1, 2, 4, 11, 39, 189, 1367]),
@@ -170,7 +170,7 @@ class TestEnumeration:
         outcomes = Counter()
         for n in range(top + 1):
             new = 1 << n
-            for parent in search._classes(n, trifree):
+            for parent in search._classes(n, trifree)[0]:
                 for nb in search._extensions(parent, trifree):
                     child = search._extend(parent.adj, nb)
                     full = _refine_cells(child)
@@ -232,6 +232,47 @@ class TestEnumeration:
             assert sum(are_isomorphic_oracle(g, r) for r in reps) == 1, encode_graph6(g)
 
 
+class TestChildVector:
+    @pytest.mark.parametrize("cls, field, fallbacks", [
+        ("all", GF2, [0, 0, 0, 0, 0, 0, 2, 16]),
+        ("triangle_free", GF2, [0, 0, 0, 0, 0, 0, 1, 4, 33, 195]),
+        ("bipartite", GF2, [0, 0, 0, 0, 0, 0, 1, 1, 8, 32]),
+        ("connected", GF2, [0, 0, 0, 0, 0, 0, 2]),
+        ("all", GF3, [0, 0, 0, 0, 0, 0, 2]),
+        ("triangle_free", GF3, [0, 0, 0, 0, 0, 0, 1]),
+        ("all", RATIONALS, [0, 0, 0, 0, 0, 0, 2]),
+        ("triangle_free", RATIONALS, [0, 0, 0, 0, 0, 0, 1]),
+    ])
+    def test_equals_betti_graph_on_every_class(self, monkeypatch, cls, field, fallbacks):
+        # each class's origin is a child of one of the classes one size
+        # down, isomorphic to the class; the step at its new vertex, from
+        # the parent's vectors, gives betti_graph's vector of that child.
+        # fallbacks[n - 1] counts the children at n it hands to betti_graph
+        handed = Counter()
+
+        def counted(g, f):
+            handed[g.n] += 1
+            return betti_graph(g, f)
+
+        monkeypatch.setattr(search, "betti_graph", counted)
+        trifree = cls in ("triangle_free", "bipartite")
+        for n in range(1, len(fallbacks) + 1):
+            parents = search._classes(n - 1, trifree)[0]
+            vectors = {}
+            reps = enumerate_graphs(n, cls)
+            assert len(reps.origins) == len(reps)
+            for rep, origin in zip(reps, reps.origins):
+                index, nb = origin >> (n - 1), origin & ((1 << (n - 1)) - 1)
+                parent = parents[index]
+                if index not in vectors:
+                    vectors[index] = _Vectors(parent, field)
+                child = Graph(n, search._extend(parent.adj, nb))
+                assert canonical_form(child) == encode_graph6(rep)
+                got = search._child_vector(vectors[index], parent, nb, field)
+                assert got == betti_graph(child, field).by_degree, (n, encode_graph6(rep))
+        assert [handed[n] for n in range(1, len(fallbacks) + 1)] == fallbacks
+
+
 class TestStreaming:
     def test_round_trip(self):
         words = [encode_graph6(g) for g in enumerate_graphs(4, "all")]
@@ -266,16 +307,19 @@ class TestMaximize:
 
     def test_planted_violation_is_reported(self, monkeypatch):
         planted = canonical_form(empty_graph(4))
-        monkeypatch.setattr(search, "b_graph", planted_b_graph(planted))
+        monkeypatch.setattr(search, "_child_vector", planted_child_vector(planted))
         rep = maximize("b", n=4)
         assert rep.all_within_bound is False
         assert rep.violations == [{"graph6": planted, "value": 100, "bound": "b-le-theta^n"}]
         assert (rep.max_value, rep.maximizers) == (100, [planted])
 
-    def test_stream_agrees_with_generator(self):
-        gen = maximize("b", "all", n=6)
-        words = [encode_graph6(g) + "\n" for g in enumerate_graphs(6, "all")]
-        streamed = maximize("b", "all", graphs=stream_graph6(words))
+    @pytest.mark.parametrize("cls, n", [("all", 6), ("all", 8), ("triangle_free", 10),
+                                        ("bipartite", 10), ("connected", 8)])
+    def test_stream_agrees_with_generator(self, cls, n):
+        # a streamed graph's b comes from b_graph, a generated class's from its parent's vectors
+        gen = maximize("b", cls, n=n)
+        words = [encode_graph6(g) + "\n" for g in enumerate_graphs(n, cls)]
+        streamed = maximize("b", cls, graphs=stream_graph6(words))
         assert gen.max_value == streamed.max_value
         assert gen.maximizers == streamed.maximizers
 
@@ -319,15 +363,18 @@ class TestMaximize:
         whole = run().to_json_dict()
         calls = []
         limit = stop
+        # a streamed graph's b comes from b_graph, a generated class's from its parent's vectors
+        seam = "b_graph" if stream else "_child_vector"
+        computed = getattr(search, seam)
 
-        def cut(g, fieldspec):
+        def cut(*args):
             if len(calls) == limit:
                 raise KeyboardInterrupt
-            calls.append(g)
-            return b_graph(g, fieldspec)
+            calls.append(args)
+            return computed(*args)
 
         monkeypatch.setattr(search, "CHECKPOINT_EVERY", 50)
-        monkeypatch.setattr(search, "b_graph", cut)
+        monkeypatch.setattr(search, seam, cut)
         if stop < whole["graphs_examined"]:
             with pytest.raises(KeyboardInterrupt):
                 run()
@@ -585,14 +632,30 @@ class TestVanishingSweep:
         assert (rep["graphs_examined"], rep["homology_computed"]) == (examined, computed)
         assert rep["pass"]
 
+    @pytest.mark.parametrize("n, computed, handed", [(6, 37, 0), (7, 533, 1), (8, 1341, 2),
+                                                     (9, 46_959, 180)])
+    def test_few_children_reach_betti_graph(self, monkeypatch, n, computed, handed):
+        # of the computed children, those whose deletion step at the new
+        # vertex gives up, so that betti_graph gets the child
+        calls = []
+        monkeypatch.setattr(search, "betti_graph", lambda g, f: calls.append(g) or betti_graph(g, f))
+        rep = flag_vanishing_sweep(n)
+        assert (rep["homology_computed"], len(calls)) == (computed, handed)
+        assert rep["pass"]
+
     @pytest.mark.parametrize("n, classes", [(1, 1), (2, 1), (3, 3), (4, 4), (5, 20), (6, 36),
                                             (7, 359), (8, 930)])
     def test_computes_every_class_that_can_fail(self, monkeypatch, n, classes):
         # the graphs given homology are, up to isomorphism, exactly the
         # classes whose independence number clears the threshold
         seen = set()
-        monkeypatch.setattr(search, "betti_graph",
-                            lambda g, f: seen.add(canonical_form(g)) or betti_graph(g, f))
+        child_vector = search._child_vector
+
+        def watch(vector_p, parent, nb, field):
+            seen.add(canonical_form(Graph(parent.n + 1, search._extend(parent.adj, nb))))
+            return child_vector(vector_p, parent, nb, field)
+
+        monkeypatch.setattr(search, "_child_vector", watch)
         assert flag_vanishing_sweep(n)["pass"]
         expected = {encode_graph6(g) for g in enumerate_graphs(n)
                     if max(f.bit_count() for f in independence_complex(g).facets) > n // 2}
@@ -602,12 +665,14 @@ class TestVanishingSweep:
     @pytest.mark.parametrize("n, word", [(6, "E???"), (7, "F????")])
     def test_planted_violation_is_reported(self, monkeypatch, n, word):
         # a fake b_{n//2} = 1 on the edgeless graph alone must be the one violation
-        def planted(g, f):
-            if not any(g.adj):
-                return BettiVector(((n // 2, 1),), f)
-            return betti_graph(g, f)
+        child_vector = search._child_vector
 
-        monkeypatch.setattr(search, "betti_graph", planted)
+        def planted(vector_p, parent, nb, field):
+            if not any(parent.adj) and not nb:
+                return ((n // 2, 1),)
+            return child_vector(vector_p, parent, nb, field)
+
+        monkeypatch.setattr(search, "_child_vector", planted)
         rep = flag_vanishing_sweep(n)
         assert not rep["pass"]
         assert rep["violations"] == [{"graph6": word, "degrees": [(n // 2, 1)]}]
