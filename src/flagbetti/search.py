@@ -152,9 +152,10 @@ def _classes(n: int, trifree: bool) -> tuple[tuple[Graph, ...], array]:
     """The n-vertex class representatives, sorted by word, and the origin
     of each: parent_index << (n - 1) | nb, for the first child that gave
     its word, the parent _classes(n - 1, trifree)[0][parent_index] with a
-    new vertex of neighbourhood nb.  The one 0-vertex class has none."""
+    new vertex of neighbourhood nb.  The one 0-vertex class, which has no
+    parent, has origin 0."""
     if n == 0:
-        return (empty_graph(0),), array("l")
+        return (empty_graph(0),), array("l", [0])
     # word -> representative, built from its codes when the word is first
     # seen, and the origins in the same order: an array beside the dict, as
     # a (graph, origin) tuple per word raised the peak memory of n = 8 by 1 MB
@@ -203,8 +204,7 @@ def enumerate_graphs(n: int, cls: str = "all") -> list[Graph]:
     if cls in ("all", "triangle_free"):
         return _Classes(reps, origins)
     keep = [i for i, g in enumerate(reps) if graph_predicates(g)[f"is_{cls}"]]
-    # the 0-vertex class has no origin
-    return _Classes((reps[i] for i in keep), array("l", (origins[i] for i in keep)) if n else origins)
+    return _Classes((reps[i] for i in keep), array("l", (origins[i] for i in keep)))
 
 
 def _child_vector(vector_P, parent: Graph, nb: int, field: FieldSpec) -> tuple:
